@@ -49,7 +49,6 @@ from .offline import (
     cost,
     expected_cost_mc,
     kwikcluster,
-    pair_set_source,
 )
 from .oracle import NoiseModel, Oracle
 from .tbhs import ArmState, TbhsConfig, TbhsOutput, containment_check, radius, run_tbhs
@@ -99,7 +98,6 @@ __all__ = [
     "num_pairs",
     "pair_index",
     "pair_of",
-    "pair_set_source",
     "radius",
     "run_kcfb",
     "run_kcfc",

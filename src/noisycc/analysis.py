@@ -50,16 +50,13 @@ def gaps(instance: Instance) -> GapProfile:
 def epsilon_bands(instance: Instance, epsilon: float) -> EpsilonBands:
     if not (0.0 < epsilon < 0.5):
         raise ParameterError(f"epsilon must lie in (0, 0.5), got {epsilon}")
-    band, above, below = set(), set(), set()
-    for e in range(instance.m):
-        s = instance.sims[e]
-        if abs(0.5 - s) <= epsilon:
-            band.add(e)
-        elif s > 0.5 + epsilon:
-            above.add(e)
-        else:
-            below.add(e)
-    return EpsilonBands(frozenset(band), frozenset(above), frozenset(below))
+    sims = instance.sims
+    band = np.abs(0.5 - sims) <= epsilon
+    above = ~band & (sims > 0.5 + epsilon)
+    below = ~band & ~above
+    return EpsilonBands(
+        *(frozenset(np.flatnonzero(mask).tolist()) for mask in (band, above, below))
+    )
 
 
 def tilde_gaps(instance: Instance, epsilon: float) -> np.ndarray:

@@ -22,7 +22,7 @@ from .errors import NoisyccError
 from .instance import GeneratorSpec, Instance, generate, load_instance, to_json
 from .kcfb import run_kcfb
 from .kcfc import run_kcfc, run_kcfc_sequential
-from .offline import brute_force_opt, expected_cost_mc, pair_set_source
+from .offline import brute_force_opt, expected_cost_mc
 from .oracle import NoiseModel, Oracle
 from .uniform import (
     OfflineSolver,
@@ -106,47 +106,33 @@ def _mc_expected_cost(
     oracle: Oracle,
     report,
     args,
+    solver: OfflineSolver,
     replay_ss: np.random.SeedSequence,
     replays: int,
 ) -> tuple[float, float]:
     rng = np.random.default_rng(replay_ss)
-    n = instance.n
     if algo == "kcfc":
-        source = pair_set_source(report.good_pairs, n)
-        return expected_cost_mc(instance, source, replays, rng)
-    if algo in ("kcfc-seq", "kcfb"):
-        costs = np.empty(replays)
-        for i in range(replays):
-            fresh = oracle.replay()
-            if algo == "kcfc-seq":
-                rep = run_kcfc_sequential(
-                    fresh, n, args.epsilon, args.delta, rng, args.radius_scale
-                )
-            else:
-                rep = run_kcfb(fresh, n, args.budget, rng)
-            costs[i] = offline.cost(instance, rep.clustering)
-        mean = float(costs.mean())
-        stderr = float(costs.std(ddof=1) / np.sqrt(replays)) if replays > 1 else 0.0
-        return mean, stderr
-    # Uniform baselines: the estimate is fixed, only the solver may be random.
-    solver = _solver(args)
-    base_cost = offline.cost(instance, report.clustering)
-    if solver.kind == "exact":
-        return base_cost, 0.0
-    shat = np.array([oracle.empirical_mean(e) for e in range(instance.m)])
-    costs = np.empty(replays)
-    for i in range(replays):
-        costs[i] = offline.cost(instance, solver.solve(shat, n, rng))
-    mean = float(costs.mean())
-    stderr = float(costs.std(ddof=1) / np.sqrt(replays)) if replays > 1 else 0.0
-    return mean, stderr
+        return expected_cost_mc(instance, report.good_mask, replays, rng)
+    if algo == "kcfc-seq":
+        def draw():
+            return run_kcfc_sequential(
+                oracle.replay(), args.epsilon, args.delta, rng, args.radius_scale
+            ).clustering
+    elif algo == "kcfb":
+        def draw():
+            return run_kcfb(oracle.replay(), args.budget, rng).clustering
+    elif solver.kind == "exact":
+        # Uniform baselines: the estimate is fixed, only the solver may be random.
+        return offline.cost(instance, report.clustering), 0.0
+    else:
+        shat = np.array([oracle.empirical_mean(e) for e in range(instance.m)])
+
+        def draw():
+            return solver.solve(shat, instance.n, rng)
+    return offline.mean_cost(instance, draw, replays)
 
 
-def _solver(args) -> OfflineSolver:
-    return OfflineSolver(kind=args.solver, restarts=args.restarts)
-
-
-def _bound_ref(algo: str, instance: Instance, args) -> float | None:
+def _bound_ref(algo: str, instance: Instance, args, solver: OfflineSolver) -> float | None:
     try:
         if algo == "kcfc":
             m = instance.m
@@ -155,12 +141,10 @@ def _bound_ref(algo: str, instance: Instance, args) -> float | None:
             return analysis.fb_error_bound(instance, args.budget, args.epsilon)
         if algo == "uniform-fc":
             m = instance.m
-            alpha = _solver(args).alpha
-            return float(m * uniform_fc_pulls(alpha, m, args.epsilon, args.delta))
+            return float(m * uniform_fc_pulls(solver.alpha, m, args.epsilon, args.delta))
         if algo == "uniform-fb":
             m = instance.m
-            alpha = _solver(args).alpha
-            return uniform_fb_error_bound(alpha, m, args.budget // m, args.epsilon)
+            return uniform_fb_error_bound(solver.alpha, m, args.budget // m, args.epsilon)
     except (NoisyccError, ZeroDivisionError):
         return None
     return None
@@ -173,16 +157,14 @@ def _run_trial(
     trial: int,
     opt_value: float | None,
     bound_ref: float | None,
+    solver: OfflineSolver,
+    noise: NoiseModel,
 ) -> RunRecord:
     oracle_seed, pivot_rng, replay_ss = _trial_streams(args.seed, trial)
-    noise = (
-        NoiseModel("gaussian", args.sigma) if args.noise == "gaussian" else NoiseModel()
-    )
-    n = instance.n
     record = RunRecord(
         algo=algo,
         seed=oracle_seed,
-        n=n,
+        n=instance.n,
         m=instance.m,
         epsilon=args.epsilon,
         delta=args.delta if algo in ("kcfc", "kcfc-seq", "uniform-fc") else None,
@@ -194,17 +176,17 @@ def _run_trial(
     try:
         start = time.perf_counter()
         if algo == "kcfc":
-            report = run_kcfc(oracle, n, args.epsilon, args.delta, pivot_rng, args.radius_scale)
+            report = run_kcfc(oracle, args.epsilon, args.delta, pivot_rng, args.radius_scale)
         elif algo == "kcfc-seq":
             report = run_kcfc_sequential(
-                oracle, n, args.epsilon, args.delta, pivot_rng, args.radius_scale
+                oracle, args.epsilon, args.delta, pivot_rng, args.radius_scale
             )
         elif algo == "kcfb":
-            report = run_kcfb(oracle, n, args.budget, pivot_rng)
+            report = run_kcfb(oracle, args.budget, pivot_rng)
         elif algo == "uniform-fc":
-            report = run_uniform_fc(oracle, n, args.epsilon, args.delta, _solver(args), pivot_rng)
+            report = run_uniform_fc(oracle, args.epsilon, args.delta, solver, pivot_rng)
         else:
-            report = run_uniform_fb(oracle, n, args.budget, _solver(args), pivot_rng)
+            report = run_uniform_fb(oracle, args.budget, solver, pivot_rng)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
     except NoisyccError as exc:
         print(f"trial {trial} ({algo}): {exc}", file=sys.stderr)
@@ -212,7 +194,7 @@ def _run_trial(
     record.queries = report.queries if hasattr(report, "queries") else report.queries_used
     record.cost = offline.cost(instance, report.clustering)
     mc_mean, mc_stderr = _mc_expected_cost(
-        algo, instance, oracle, report, args, replay_ss, args.mc_replays
+        algo, instance, oracle, report, args, solver, replay_ss, args.mc_replays
     )
     record.mc_expected_cost = mc_mean
     record.mc_stderr = mc_stderr
@@ -266,16 +248,21 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
             parser.error(f"{algo} requires --budget")
         if instance.n > 1 and args.budget < instance.m:
             parser.error(f"budget {args.budget} < m = {instance.m}")
-    if args.solver == "exact" and instance.n > OPT_MAX_N:
+    if algo.startswith("uniform") and args.solver == "exact" and instance.n > OPT_MAX_N:
         parser.error(f"exact solver requires n <= {OPT_MAX_N}")
+    try:
+        solver = OfflineSolver(kind=args.solver, restarts=args.restarts)
+        noise = NoiseModel("gaussian", args.sigma) if args.noise == "gaussian" else NoiseModel()
+    except NoisyccError as exc:
+        parser.error(str(exc))
 
     opt_value = None
     if instance.n <= OPT_MAX_N:
         opt_value = brute_force_opt(instance).opt_value
-    bound = _bound_ref(algo, instance, args)
+    bound = _bound_ref(algo, instance, args, solver)
 
     def one(trial: int) -> RunRecord:
-        return _run_trial(algo, instance, args, trial, opt_value, bound)
+        return _run_trial(algo, instance, args, trial, opt_value, bound, solver, noise)
 
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:

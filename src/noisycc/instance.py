@@ -29,6 +29,20 @@ def pair_index(u: int, v: int, n: int) -> int:
     return u * n - u * (u + 1) // 2 + (v - u - 1)
 
 
+def incident_pairs(p: int, others: np.ndarray, n: int) -> np.ndarray:
+    """Pair indices of (p, u) for every element u in ``others`` (none equal to p)."""
+    lo = np.minimum(p, others)
+    hi = np.maximum(p, others)
+    return lo * n - lo * (lo + 1) // 2 + (hi - lo - 1)
+
+
+def pair_mask(pairs, m: int) -> np.ndarray:
+    """Boolean length-m vector that is true exactly at the given pair indices."""
+    mask = np.zeros(m, dtype=bool)
+    mask[list(pairs)] = True
+    return mask
+
+
 def pair_of(e: int, n: int) -> tuple[int, int]:
     """Inverse of pair_index: the (u, v) with u < v at pair index e."""
     m = num_pairs(n)
@@ -45,15 +59,7 @@ def pair_of(e: int, n: int) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def pair_endpoints(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (U, V) with the endpoints of every pair in canonical order."""
-    m = num_pairs(n)
-    us = np.empty(m, dtype=np.int64)
-    vs = np.empty(m, dtype=np.int64)
-    e = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            us[e] = u
-            vs[e] = v
-            e += 1
+    us, vs = (a.astype(np.int64) for a in np.triu_indices(n, k=1))
     us.setflags(write=False)
     vs.setflags(write=False)
     return us, vs
@@ -80,8 +86,8 @@ class Instance:
             raise InvalidSpecError(
                 f"sims must have length {m} for n={self.n}, got shape {sims.shape}"
             )
-        if m and (np.min(sims) < 0.0 or np.max(sims) > 1.0):
-            raise InvalidSpecError("similarities must lie in [0, 1]")
+        if not np.all((sims >= 0.0) & (sims <= 1.0)):
+            raise InvalidSpecError("similarities must be finite and lie in [0, 1]")
         sims.setflags(write=False)
         object.__setattr__(self, "sims", sims)
         if self.ground_truth is not None:
@@ -179,6 +185,6 @@ def load_instance(path: str | Path) -> Instance:
     if not isinstance(obj, dict) or "n" not in obj or "sims" not in obj:
         raise InvalidSpecError("instance file must contain 'n' and 'sims'")
     n = obj["n"]
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise InvalidSpecError("'n' must be an integer")
     return Instance(n, np.asarray(obj["sims"], dtype=np.float64), obj.get("ground_truth"))

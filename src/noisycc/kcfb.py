@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientBudgetError, ParameterError
-from .instance import num_pairs, pair_index
+from .instance import incident_pairs, num_pairs
+from .offline import pivot_cluster
 from .oracle import Oracle
 
 
@@ -50,41 +51,31 @@ def next_tau(tau_r: int, v_r: int, v_r1: int) -> int:
 
 def run_kcfb(
     oracle: Oracle,
-    n: int,
     budget: int,
     rng: np.random.Generator | None = None,
 ) -> FbReport:
     """Cluster with at most ``budget`` oracle queries."""
-    if n != oracle.instance.n:
-        raise ParameterError(f"n={n} does not match the oracle's instance (n={oracle.instance.n})")
+    n = oracle.instance.n
     m = num_pairs(n)
     if budget < m:
         raise InsufficientBudgetError(f"budget {budget} < m = {m}: every pair needs one pull")
     if rng is None:
         rng = np.random.default_rng()
     tau = budget // m if m > 0 else 0
-    labels = np.full(n, -1, dtype=np.int64)
-    remaining = list(range(n))
-    cid = 0
     used = 0
     schedule: list[int] = []
-    while remaining:
+
+    def decide(p: int, others: np.ndarray) -> np.ndarray:
+        nonlocal tau, used
+        v_r = len(others) + 1
         # Redistribution never over-commits the remaining budget.
-        assert tau * math.comb(len(remaining), 2) <= budget - used
-        p = remaining[int(rng.integers(len(remaining)))]
+        assert tau * math.comb(v_r, 2) <= budget - used
         schedule.append(tau)
-        members = [p]
-        for u in remaining:
-            if u == p:
-                continue
-            e = pair_index(min(p, u), max(p, u), n)
-            if oracle.pull_many(e, tau).mean() > 0.5:
-                members.append(u)
-        used += tau * (len(remaining) - 1)
-        for u in members:
-            labels[u] = cid
-        v_r = len(remaining)
-        remaining = [u for u in remaining if labels[u] == -1]
-        tau = next_tau(tau, v_r, len(remaining))
-        cid += 1
+        arms = incident_pairs(p, others, n).tolist()
+        join = np.array([oracle.pull_many(e, tau).mean() > 0.5 for e in arms], dtype=bool)
+        used += tau * len(arms)
+        tau = next_tau(tau, v_r, v_r - 1 - int(join.sum()))
+        return join
+
+    labels = pivot_cluster(n, rng, decide)
     return FbReport(labels, budget, used, len(schedule), schedule)

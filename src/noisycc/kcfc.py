@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .instance import num_pairs, pair_index
-from .offline import kwikcluster, pair_set_source
+from .instance import incident_pairs, num_pairs, pair_mask
+from .offline import kwikcluster, pivot_cluster
 from .oracle import Oracle
 from .tbhs import TbhsConfig, run_tbhs
 
@@ -32,14 +32,13 @@ class FcReport:
     delta: float
     epsilon_prime: float | None
     good_set_size: int | None
-    # Learned high-similarity pair set, kept so reporting code can replay the
-    # pivot stage without re-querying.  None when there is no single such set.
-    good_pairs: frozenset[int] | None = None
+    # 0/1 mask of the learned high-similarity pairs, kept so reporting code can
+    # replay the pivot stage without re-querying.  None when there is no
+    # single such set.
+    good_mask: np.ndarray | None = None
 
 
-def _validate(oracle: Oracle, n: int, epsilon: float, delta: float) -> None:
-    if n != oracle.instance.n:
-        raise ParameterError(f"n={n} does not match the oracle's instance (n={oracle.instance.n})")
+def _validate(epsilon: float, delta: float) -> None:
     if not epsilon > 0:
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
     if not (0.0 < delta < 1.0):
@@ -48,16 +47,16 @@ def _validate(oracle: Oracle, n: int, epsilon: float, delta: float) -> None:
 
 def run_kcfc(
     oracle: Oracle,
-    n: int,
     epsilon: float,
     delta: float,
     rng: np.random.Generator | None = None,
     radius_scale: float = 1.0,
 ) -> FcReport:
     """Classify every pair once, then pivot-cluster on the good set."""
-    _validate(oracle, n, epsilon, delta)
+    _validate(epsilon, delta)
+    n = oracle.instance.n
     if n == 1:
-        return FcReport(np.zeros(1, dtype=np.int64), 0, epsilon, delta, None, 0, frozenset())
+        return FcReport(np.zeros(1, dtype=np.int64), 0, epsilon, delta, None, 0, np.zeros(0))
     m = num_pairs(n)
     eps_prime = epsilon / (12.0 * m)
     if not eps_prime < 0.5:
@@ -65,46 +64,42 @@ def run_kcfc(
     out = run_tbhs(oracle, range(m), TbhsConfig(eps_prime, delta, radius_scale))
     if rng is None:
         rng = np.random.default_rng()
-    labels = kwikcluster(pair_set_source(out.good, n), n, rng)
-    return FcReport(labels, out.pulls_used, epsilon, delta, eps_prime, len(out.good), out.good)
+    good = pair_mask(out.good, m).astype(np.float64)
+    labels = kwikcluster(good, n, rng)
+    return FcReport(labels, out.pulls_used, epsilon, delta, eps_prime, len(out.good), good)
 
 
 def run_kcfc_sequential(
     oracle: Oracle,
-    n: int,
     epsilon: float,
     delta: float,
     rng: np.random.Generator | None = None,
     radius_scale: float = 1.0,
 ) -> FcReport:
     """Per-phase variant: threshold-bandit only the pivot's incident pairs."""
-    _validate(oracle, n, epsilon, delta)
+    _validate(epsilon, delta)
+    n = oracle.instance.n
     if n == 1:
         return FcReport(np.zeros(1, dtype=np.int64), 0, epsilon, delta, None, 0, None)
     if rng is None:
         rng = np.random.default_rng()
-    labels = np.full(n, -1, dtype=np.int64)
-    remaining = list(range(n))
-    cid = 0
     queries = 0
     good_total = 0
-    while remaining:
-        p = remaining[int(rng.integers(len(remaining)))]
-        others = [u for u in remaining if u != p]
-        members = [p]
-        if others:
-            arms = [pair_index(min(p, u), max(p, u), n) for u in others]
-            eps_r = epsilon / (12.0 * len(arms))
-            if not eps_r < 0.5:
-                raise ParameterError(
-                    f"epsilon={epsilon} too large for a phase with {len(arms)} incident pairs"
-                )
-            out = run_tbhs(oracle, arms, TbhsConfig(eps_r, delta / n, radius_scale))
-            queries += out.pulls_used
-            good_total += len(out.good)
-            members += [u for u in others if pair_index(min(p, u), max(p, u), n) in out.good]
-        for u in members:
-            labels[u] = cid
-        remaining = [u for u in remaining if labels[u] == -1]
-        cid += 1
+
+    def decide(p: int, others: np.ndarray) -> np.ndarray:
+        nonlocal queries, good_total
+        if len(others) == 0:
+            return np.zeros(0, dtype=bool)
+        arms = incident_pairs(p, others, n).tolist()
+        eps_r = epsilon / (12.0 * len(arms))
+        if not eps_r < 0.5:
+            raise ParameterError(
+                f"epsilon={epsilon} too large for a phase with {len(arms)} incident pairs"
+            )
+        out = run_tbhs(oracle, arms, TbhsConfig(eps_r, delta / n, radius_scale))
+        queries += out.pulls_used
+        good_total += len(out.good)
+        return np.array([e in out.good for e in arms], dtype=bool)
+
+    labels = pivot_cluster(n, rng, decide)
     return FcReport(labels, queries, epsilon, delta, None, good_total, None)

@@ -5,7 +5,9 @@ The cost of a clustering charges ``1 - s(u, v)`` for every co-clustered pair
 and ``s(u, v)`` for every split pair.  Random-pivot clustering (KwikCluster)
 repeatedly picks a uniformly random unclustered pivot and groups it with
 every remaining element whose similarity to the pivot strictly exceeds 0.5;
-its expected cost is within a factor 5 of the optimum.
+its expected cost is within a factor 5 of the optimum.  The pivot loop
+itself (``pivot_cluster``) is shared with the noisy algorithms, which decide
+membership from oracle samples instead of known similarities.
 """
 
 from __future__ import annotations
@@ -16,39 +18,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import InstanceTooLargeError, InvalidClusteringError
-from .instance import Instance, num_pairs, pair_endpoints, pair_index
-
-# A similarity source maps an unordered element pair to a value; sources are
-# symmetric in their two arguments.
-SimilaritySource = Callable[[int, int], float]
+from .instance import Instance, incident_pairs, num_pairs, pair_endpoints
 
 BRUTE_FORCE_MAX_N = 13
-
-
-def instance_source(instance: Instance) -> SimilaritySource:
-    return instance.similarity
-
-
-def pair_set_source(pairs: frozenset[int] | set[int], n: int) -> SimilaritySource:
-    """Binary source: 1 for pairs in the set, 0 otherwise."""
-
-    def value(u: int, v: int) -> float:
-        if u > v:
-            u, v = v, u
-        return 1.0 if pair_index(u, v, n) in pairs else 0.0
-
-    return value
-
-
-def array_source(values: np.ndarray, n: int) -> SimilaritySource:
-    """Source backed by a raw length-m vector (values may leave [0, 1])."""
-
-    def value(u: int, v: int) -> float:
-        if u > v:
-            u, v = v, u
-        return float(values[pair_index(u, v, n)])
-
-    return value
 
 
 def pairwise_cost(sims: np.ndarray, labels: np.ndarray) -> float:
@@ -74,43 +46,64 @@ def cost(instance: Instance, clustering) -> float:
     return pairwise_cost(instance.sims, labels)
 
 
-def kwikcluster(source: SimilaritySource, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random-pivot clustering over an arbitrary similarity source.
+def pivot_cluster(
+    n: int,
+    rng: np.random.Generator,
+    decide: Callable[[int, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Random-pivot clustering driven by a per-phase membership rule.
 
-    Consumes exactly one RNG draw per phase (the pivot choice) and queries
-    the source only on (pivot, remaining-element) pairs.
+    Each phase draws one pivot ``p`` uniformly from the surviving elements
+    (the phase's only RNG draw) and calls ``decide(p, others)``, where
+    ``others`` holds the other survivors in increasing order, possibly none.
+    The survivors where the returned mask is true join p's cluster; the rest
+    survive, still in increasing order.
     """
     labels = np.full(n, -1, dtype=np.int64)
-    remaining = list(range(n))
+    remaining = np.arange(n)
     cid = 0
-    while remaining:
-        p = remaining[int(rng.integers(len(remaining)))]
-        keep = []
-        for u in remaining:
-            if u == p or source(p, u) > 0.5:
-                labels[u] = cid
-            else:
-                keep.append(u)
-        remaining = keep
+    while len(remaining):
+        i = int(rng.integers(len(remaining)))
+        p = int(remaining[i])
+        others = np.delete(remaining, i)
+        join = np.asarray(decide(p, others), dtype=bool)
+        labels[p] = cid
+        labels[others[join]] = cid
+        remaining = others[~join]
         cid += 1
     return labels
 
 
-def expected_cost_mc(
-    instance: Instance,
-    source: SimilaritySource,
-    trials: int,
-    rng: np.random.Generator,
+def kwikcluster(sims: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """KwikCluster over a length-m similarity vector (values may leave [0, 1]):
+    each pivot takes every survivor whose similarity to it exceeds 0.5."""
+    return pivot_cluster(n, rng, lambda p, others: sims[incident_pairs(p, others, n)] > 0.5)
+
+
+def mean_cost(
+    instance: Instance, draw: Callable[[], np.ndarray], trials: int
 ) -> tuple[float, float]:
-    """Mean and standard error of the pivot-clustering cost over fresh pivot orders."""
+    """Mean and standard error (0 for one trial) of the cost of ``trials``
+    clusterings drawn by calling ``draw()``."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     costs = np.empty(trials)
     for t in range(trials):
-        costs[t] = pairwise_cost(instance.sims, kwikcluster(source, instance.n, rng))
+        costs[t] = pairwise_cost(instance.sims, draw())
     mean = float(costs.mean())
     stderr = float(costs.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr
+
+
+def expected_cost_mc(
+    instance: Instance,
+    sims: np.ndarray,
+    trials: int,
+    rng: np.random.Generator,
+) -> tuple[float, float]:
+    """Mean and standard error of the cost of KwikCluster over ``sims`` across
+    fresh pivot orders, scored against the instance's true similarities."""
+    return mean_cost(instance, lambda: kwikcluster(sims, instance.n, rng), trials)
 
 
 def iter_partitions(n: int) -> Iterator[np.ndarray]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExhaustedError, InvalidPairError, NoSamplesError
+from .errors import BudgetExhaustedError, InvalidPairError, NoSamplesError, ParameterError
 from .instance import Instance
 
 
@@ -34,9 +34,9 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         if self.kind not in ("bernoulli", "gaussian"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
+            raise ParameterError(f"unknown noise kind {self.kind!r}")
         if self.kind == "gaussian" and not self.sigma > 0:
-            raise ValueError("gaussian noise requires sigma > 0")
+            raise ParameterError("gaussian noise requires sigma > 0")
 
 
 class _Tape:

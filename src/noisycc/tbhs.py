@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NoSamplesError, ParameterError
-from .instance import Instance
+from .instance import Instance, pair_mask
 from .oracle import Oracle
 
 
@@ -161,10 +161,7 @@ def run_tbhs(
 def containment_check(output: TbhsOutput, instance: Instance, epsilon: float) -> bool:
     """True iff every pair clearly above the threshold band landed in good
     and every pair clearly below landed in bad."""
-    for e in range(instance.m):
-        s = instance.sims[e]
-        if s > 0.5 + epsilon and e not in output.good:
-            return False
-        if s < 0.5 - epsilon and e not in output.bad:
-            return False
-    return True
+    sims = instance.sims
+    good = pair_mask(output.good, instance.m)
+    bad = pair_mask(output.bad, instance.m)
+    return bool(good[sims > 0.5 + epsilon].all() and bad[sims < 0.5 - epsilon].all())

@@ -19,13 +19,7 @@ from .errors import InstanceTooLargeError, InsufficientBudgetError, ParameterErr
 from .instance import num_pairs
 from .kcfb import FbReport
 from .kcfc import FcReport
-from .offline import (
-    BRUTE_FORCE_MAX_N,
-    array_source,
-    kwikcluster,
-    min_cost_partition,
-    pairwise_cost,
-)
+from .offline import BRUTE_FORCE_MAX_N, kwikcluster, min_cost_partition, pairwise_cost
 from .oracle import Oracle
 
 
@@ -53,11 +47,10 @@ class OfflineSolver:
     def solve(self, shat: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "exact":
             return min_cost_partition(shat, n).witness
-        source = array_source(shat, n)
         best_labels = None
         best_value = np.inf
         for _ in range(self.restarts):
-            labels = kwikcluster(source, n, rng)
+            labels = kwikcluster(shat, n, rng)
             value = pairwise_cost(shat, labels)
             if value < best_value:
                 best_value = value
@@ -84,9 +77,9 @@ def uniform_fb_error_bound(alpha: float, m: int, pulls_per_pair: int, epsilon: f
     return min(1.0, 2.0 * m * math.exp(exponent))
 
 
-def _estimated_sims(oracle: Oracle, n: int, per_pair: int) -> np.ndarray:
-    shat = np.empty(num_pairs(n))
-    for e in range(num_pairs(n)):
+def _estimated_sims(oracle: Oracle, per_pair: int) -> np.ndarray:
+    shat = np.empty(oracle.instance.m)
+    for e in range(oracle.instance.m):
         shat[e] = oracle.pull_many(e, per_pair).mean()
     return shat
 
@@ -100,14 +93,12 @@ def _check_solver_fits(solver: OfflineSolver, n: int) -> None:
 
 def run_uniform_fc(
     oracle: Oracle,
-    n: int,
     epsilon: float,
     delta: float,
     solver: OfflineSolver,
     rng: np.random.Generator | None = None,
 ) -> FcReport:
-    if n != oracle.instance.n:
-        raise ParameterError(f"n={n} does not match the oracle's instance (n={oracle.instance.n})")
+    n = oracle.instance.n
     _check_solver_fits(solver, n)
     if rng is None:
         rng = np.random.default_rng()
@@ -115,20 +106,18 @@ def run_uniform_fc(
         return FcReport(np.zeros(1, dtype=np.int64), 0, epsilon, delta, None, None)
     m = num_pairs(n)
     per_pair = uniform_fc_pulls(solver.alpha, m, epsilon, delta)
-    shat = _estimated_sims(oracle, n, per_pair)
+    shat = _estimated_sims(oracle, per_pair)
     labels = solver.solve(shat, n, rng)
     return FcReport(labels, m * per_pair, epsilon, delta, None, None)
 
 
 def run_uniform_fb(
     oracle: Oracle,
-    n: int,
     budget: int,
     solver: OfflineSolver,
     rng: np.random.Generator | None = None,
 ) -> FbReport:
-    if n != oracle.instance.n:
-        raise ParameterError(f"n={n} does not match the oracle's instance (n={oracle.instance.n})")
+    n = oracle.instance.n
     _check_solver_fits(solver, n)
     m = num_pairs(n)
     if budget < m:
@@ -138,6 +127,6 @@ def run_uniform_fb(
     if n == 1:
         return FbReport(np.zeros(1, dtype=np.int64), budget, 0, 1, [0])
     per_pair = budget // m
-    shat = _estimated_sims(oracle, n, per_pair)
+    shat = _estimated_sims(oracle, per_pair)
     labels = solver.solve(shat, n, rng)
     return FbReport(labels, budget, m * per_pair, 1, [per_pair])

@@ -27,7 +27,6 @@ from noisycc import (
     next_tau,
     num_pairs,
     pair_index,
-    pair_set_source,
     radius,
     run_kcfb,
     run_kcfc,
@@ -37,7 +36,6 @@ from noisycc import (
     uniform_fc_pulls,
 )
 from noisycc.cli import main as cli_main
-from noisycc.offline import instance_source
 
 REL_TOL = 1e-9
 
@@ -102,9 +100,9 @@ def _criterion3_runs():
     results = []
     for seed in range(50):
         oracle = Oracle(inst, seed=seed)
-        rep = run_kcfc(oracle, 8, epsilon, delta, np.random.default_rng(seed))
+        rep = run_kcfc(oracle, epsilon, delta, np.random.default_rng(seed))
         mc, stderr = expected_cost_mc(
-            inst, pair_set_source(rep.good_pairs, 8), 500, np.random.default_rng(10_000 + seed)
+            inst, rep.good_mask, 500, np.random.default_rng(10_000 + seed)
         )
         results.append((rep.queries, mc, stderr))
     return inst, opt, epsilon, delta, results
@@ -155,7 +153,7 @@ def test_c05_fixed_budget_never_exceeds():
         inst = Instance(n, rng.random(m))
         budget = int(rng.integers(m, 50 * m + 1))
         oracle = Oracle(inst, seed=int(rng.integers(2**63)))
-        rep = run_kcfb(oracle, n, budget, np.random.default_rng(int(rng.integers(2**63))))
+        rep = run_kcfb(oracle, budget, np.random.default_rng(int(rng.integers(2**63))))
         if rep.queries_used > budget or oracle.total_pulls > budget:
             violations += 1
     elapsed = time.perf_counter() - start
@@ -185,11 +183,11 @@ def test_c06_fixed_budget_monotone_success():
         failures = 0
         for seed in range(trials):
             oracle = Oracle(inst, seed=seed)
-            run_kcfb(oracle, n, budget, np.random.default_rng(seed))
+            run_kcfb(oracle, budget, np.random.default_rng(seed))
             rng = np.random.default_rng(50_000 + seed)
             costs = np.empty(replays)
             for i in range(replays):
-                rep = run_kcfb(oracle.replay(), n, budget, rng)
+                rep = run_kcfb(oracle.replay(), budget, rng)
                 costs[i] = cost(inst, rep.clustering)
             if costs.mean() > 5 * opt + epsilon:
                 failures += 1
@@ -219,7 +217,7 @@ def test_c07_pivot_clustering_five_approximation():
         inst = generate(GeneratorSpec("uniform_random", n=n, seed=int(rng.integers(2**32))))
         opt = brute_force_opt(inst).opt_value
         mean, stderr = expected_cost_mc(
-            inst, instance_source(inst), 2000, np.random.default_rng(i)
+            inst, inst.sims, 2000, np.random.default_rng(i)
         )
         if mean > 5 * opt + 3 * stderr:
             failures.append((i, mean, opt, stderr))
@@ -293,9 +291,9 @@ def test_c10_sequential_variant_queries_fewer_pairs():
     runs = 50
     for seed in range(runs):
         o_full = Oracle(inst, seed=seed)
-        run_kcfc(o_full, 6, 1.0, 0.1, np.random.default_rng(seed))
+        run_kcfc(o_full, 1.0, 0.1, np.random.default_rng(seed))
         o_seq = Oracle(inst, seed=seed)
-        run_kcfc_sequential(o_seq, 6, 1.0, 0.1, np.random.default_rng(seed))
+        run_kcfc_sequential(o_seq, 1.0, 0.1, np.random.default_rng(seed))
         full_pairs = int((o_full.pulls_report()[1] > 0).sum())
         seq_pairs = int((o_seq.pulls_report()[1] > 0).sum())
         if seq_pairs < full_pairs:

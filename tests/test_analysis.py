@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisycc import (
+    EpsilonBands,
     Instance,
     ParameterError,
     epsilon_bands,
@@ -78,6 +79,21 @@ class TestEpsilonBands:
         union = bands.band | bands.above | bands.below
         assert union == frozenset(range(inst.m))
         assert len(bands.band) + len(bands.above) + len(bands.below) == inst.m
+
+    @settings(max_examples=50)
+    @given(sims_lists, st.floats(0.01, 0.49))
+    def test_matches_scalar_reference(self, inst, eps):
+        band, above, below = set(), set(), set()
+        for e, s in enumerate(inst.sims.tolist()):
+            if abs(0.5 - s) <= eps:
+                band.add(e)
+            elif s > 0.5 + eps:
+                above.add(e)
+            else:
+                below.add(e)
+        assert epsilon_bands(inst, eps) == EpsilonBands(
+            frozenset(band), frozenset(above), frozenset(below)
+        )
 
     def test_epsilon_range(self):
         with pytest.raises(ParameterError):

@@ -141,6 +141,61 @@ class TestRun:
         assert float(rows[0]["wall_ms"]) > 0.0
 
 
+class TestBadRunInputs:
+    @staticmethod
+    def usage_error(argv, capsys):
+        """Run argv, expect exit code 2, return the one-line error message."""
+        with pytest.raises(SystemExit) as exc:
+            run_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err.strip().splitlines()[-1]
+
+    def test_restarts_zero(self, noiseless_instance, capsys):
+        line = self.usage_error(
+            ["run", "--algo", "uniform-fb", "--instance", str(noiseless_instance),
+             "--epsilon", "0.5", "--budget", "60", "--solver", "kwik_restarts",
+             "--restarts", "0"], capsys)
+        assert line.startswith("noisycc: error:") and "restarts" in line
+
+    def test_gaussian_sigma_zero(self, noiseless_instance, capsys):
+        line = self.usage_error(
+            ["run", "--algo", "kcfc", "--instance", str(noiseless_instance),
+             "--epsilon", "1.0", "--delta", "0.1", "--noise", "gaussian", "--sigma", "0"],
+            capsys)
+        assert line.startswith("noisycc: error:") and "sigma" in line
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--algo", "kcfb", "--epsilon", "1.0", "--budget", "10"],
+        ["analyze"],
+    ])
+    def test_nan_similarity(self, command, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"n": 3, "sims": [0.9, float("nan"), 0.1]}))
+        line = self.usage_error(command + ["--instance", str(path)], capsys)
+        assert "cannot load instance" in line and "finite" in line
+
+    def test_boolean_n(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"n": True, "sims": []}))
+        line = self.usage_error(
+            ["run", "--algo", "kcfb", "--instance", str(path), "--epsilon", "1.0",
+             "--budget", "10"], capsys)
+        assert "cannot load instance" in line and "'n' must be an integer" in line
+
+    def test_default_solver_does_not_gate_solver_free_algos(self, tmp_path):
+        path = tmp_path / "n15.json"
+        run_main(["gen", "--kind", "planted", "--n", "15", "--k", "3", "--seed", "2",
+                  "--out", str(path)])
+        out = tmp_path / "kcfb.csv"
+        assert run_main(["run", "--algo", "kcfb", "--instance", str(path),
+                         "--epsilon", "1.0", "--budget", "210", "--mc-replays", "5",
+                         "--out", str(out)]) == 0
+        _, rows = parse_csv(out.read_text())
+        assert rows[0]["opt"] == "" and rows[0]["queries"] != ""
+
+
 class TestAnalyze:
     def test_three_arm_values(self, tmp_path, capsys):
         path = tmp_path / "three.json"

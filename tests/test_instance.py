@@ -17,7 +17,7 @@ from noisycc import (
     pair_of,
     save_instance,
 )
-from noisycc.instance import to_json
+from noisycc.instance import incident_pairs, pair_endpoints, to_json
 
 
 class TestPairIndexing:
@@ -51,6 +51,16 @@ class TestPairIndexing:
         u = data.draw(st.integers(0, n - 2))
         v = data.draw(st.integers(u + 1, n - 1))
         assert pair_of(pair_index(u, v, n), n) == (u, v)
+
+    def test_vectorised_helpers_match_pair_index(self):
+        for n in range(1, 16):
+            us, vs = pair_endpoints(n)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            assert list(zip(us.tolist(), vs.tolist())) == pairs
+            for p in range(n):
+                others = np.array([u for u in range(n) if u != p], dtype=np.int64)
+                expected = [pair_index(min(p, u), max(p, u), n) for u in others.tolist()]
+                assert incident_pairs(p, others, n).tolist() == expected
 
     def test_invalid_pairs(self):
         with pytest.raises(InvalidPairError):

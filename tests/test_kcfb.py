@@ -62,7 +62,7 @@ class TestRunKcfb:
         sims[0] = 1.0  # pair (0, 1)
         inst = Instance(4, sims)
         oracle = Oracle(inst, seed=0)
-        report = run_kcfb(oracle, 4, 60, np.random.default_rng(1))
+        report = run_kcfb(oracle, 60, np.random.default_rng(1))
         assert report.tau_schedule == [10, 30, 30]
         assert report.queries_used == 60
         assert report.phases == 3
@@ -74,7 +74,7 @@ class TestRunKcfb:
         inst = generate(GeneratorSpec("planted", n=6, k=2, in_mean=1.0, out_mean=0.0))
         m = inst.m
         for seed in range(10):
-            report = run_kcfb(Oracle(inst, seed=seed), 6, m, np.random.default_rng(seed))
+            report = run_kcfb(Oracle(inst, seed=seed), m, np.random.default_rng(seed))
             gt = inst.ground_truth
             labels = report.clustering
             assert all(
@@ -86,7 +86,7 @@ class TestRunKcfb:
     def test_all_zero_similarities_singleton_cascade(self):
         n, T = 6, 200
         inst = Instance(n, [0.0] * num_pairs(n))
-        report = run_kcfb(Oracle(inst, seed=2), n, T, np.random.default_rng(2))
+        report = run_kcfb(Oracle(inst, seed=2), T, np.random.default_rng(2))
         assert len(set(report.clustering.tolist())) == n
         # Independent re-derivation of the schedule: sizes shrink by one per
         # phase, so tau evolves by the update rule along n, n-1, ..., 1.
@@ -109,7 +109,7 @@ class TestRunKcfb:
             inst = Instance(n, rng.random(m))
             budget = int(rng.integers(m, 60 * m))
             oracle = Oracle(inst, seed=int(rng.integers(2**32)))
-            report = run_kcfb(oracle, n, budget, np.random.default_rng(int(rng.integers(2**32))))
+            report = run_kcfb(oracle, budget, np.random.default_rng(int(rng.integers(2**32))))
             assert report.queries_used <= budget
             assert report.queries_used == oracle.total_pulls
             assert report.clustering.min() >= 0
@@ -118,16 +118,11 @@ class TestRunKcfb:
     def test_insufficient_budget(self):
         inst = Instance(4, [0.5] * 6)
         with pytest.raises(InsufficientBudgetError):
-            run_kcfb(Oracle(inst, seed=0), 4, 5, np.random.default_rng(0))
+            run_kcfb(Oracle(inst, seed=0), 5, np.random.default_rng(0))
 
     def test_n1_any_budget(self):
         inst = Instance(1, [])
         for T in (0, 1, 100):
-            report = run_kcfb(Oracle(inst, seed=0), 1, T, np.random.default_rng(0))
+            report = run_kcfb(Oracle(inst, seed=0), T, np.random.default_rng(0))
             assert list(report.clustering) == [0]
             assert report.queries_used == 0
-
-    def test_n_mismatch(self):
-        inst = Instance(4, [0.5] * 6)
-        with pytest.raises(ParameterError):
-            run_kcfb(Oracle(inst, seed=0), 5, 100)

@@ -18,9 +18,9 @@ from noisycc import (
     kwikcluster,
     num_pairs,
     pair_index,
-    pair_set_source,
 )
-from noisycc.offline import array_source, instance_source, iter_partitions
+from noisycc.instance import pair_mask
+from noisycc.offline import iter_partitions, pivot_cluster
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -99,9 +99,8 @@ class TestCost:
 class TestKwikCluster:
     def test_noiseless_planted_recovery_every_seed(self):
         inst = generate(GeneratorSpec("planted", n=6, k=2, in_mean=1.0, out_mean=0.0))
-        src = instance_source(inst)
         for seed in range(40):
-            labels = kwikcluster(src, 6, np.random.default_rng(seed))
+            labels = kwikcluster(inst.sims, 6, np.random.default_rng(seed))
             gt = inst.ground_truth
             same = [(labels[u] == labels[v]) == (gt[u] == gt[v])
                     for u in range(6) for v in range(u + 1, 6)]
@@ -109,55 +108,57 @@ class TestKwikCluster:
 
     def test_all_below_half_gives_singletons(self):
         inst = Instance(5, [0.4] * 10)
-        labels = kwikcluster(instance_source(inst), 5, np.random.default_rng(0))
+        labels = kwikcluster(inst.sims, 5, np.random.default_rng(0))
         assert len(set(labels.tolist())) == 5
 
     def test_all_above_half_gives_one_cluster(self):
         inst = Instance(5, [0.6] * 10)
-        labels = kwikcluster(instance_source(inst), 5, np.random.default_rng(0))
+        labels = kwikcluster(inst.sims, 5, np.random.default_rng(0))
         assert len(set(labels.tolist())) == 1
 
     def test_output_is_partition(self):
         for seed in range(20):
             inst = generate(GeneratorSpec("uniform_random", n=7, seed=seed))
-            labels = kwikcluster(instance_source(inst), 7, np.random.default_rng(seed))
+            labels = kwikcluster(inst.sims, 7, np.random.default_rng(seed))
             assert labels.shape == (7,)
             assert np.all(labels >= 0)
 
     def test_query_pattern_via_exact_counts(self):
-        # Singleton cascade queries every pivot-incident pair: m sources reads.
+        # Singleton cascade asks about every pivot-incident pair: m pairs.
         calls = []
 
-        def low(u, v):
-            calls.append((u, v))
-            return 0.0
+        def low(p, others):
+            calls.extend((p, int(u)) for u in others)
+            return np.zeros(len(others), dtype=bool)
 
-        kwikcluster(low, 6, np.random.default_rng(1))
+        pivot_cluster(6, np.random.default_rng(1), low)
         assert len(calls) == num_pairs(6)
         calls.clear()
 
-        def high(u, v):
-            calls.append((u, v))
-            return 1.0
+        def high(p, others):
+            calls.extend((p, int(u)) for u in others)
+            return np.ones(len(others), dtype=bool)
 
-        kwikcluster(high, 6, np.random.default_rng(1))
+        pivot_cluster(6, np.random.default_rng(1), high)
         assert len(calls) == 5
 
     def test_pair_set_source(self):
-        src = pair_set_source({pair_index(0, 1, 3)}, 3)
-        assert src(0, 1) == 1.0 == src(1, 0)
-        assert src(1, 2) == 0.0
+        good = pair_mask({pair_index(0, 1, 3)}, 3)
+        assert good[pair_index(0, 1, 3)] and not good[pair_index(1, 2, 3)]
+        for seed in range(10):
+            labels = kwikcluster(good, 3, np.random.default_rng(seed))
+            assert labels[0] == labels[1] != labels[2]
 
 
 class TestExpectedCostMc:
     def test_noiseless_planted_is_exact_zero(self):
         inst = generate(GeneratorSpec("planted", n=6, k=3, in_mean=1.0, out_mean=0.0))
-        mean, stderr = expected_cost_mc(inst, instance_source(inst), 200, np.random.default_rng(0))
+        mean, stderr = expected_cost_mc(inst, inst.sims, 200, np.random.default_rng(0))
         assert mean == 0.0 and stderr == 0.0
 
     def test_all_ones(self):
         inst = Instance(4, [1.0] * 6)
-        mean, _ = expected_cost_mc(inst, instance_source(inst), 50, np.random.default_rng(0))
+        mean, _ = expected_cost_mc(inst, inst.sims, 50, np.random.default_rng(0))
         assert mean == 0.0
 
     def test_contradictory_triangle_matches_exhaustive(self):
@@ -165,13 +166,13 @@ class TestExpectedCostMc:
         # on {0,1,2} plus an isolated element.
         inst = Instance(4, [0.9, 0.9, 0.1, 0.2, 0.2, 0.2])
         exact = exact_expected_kwik_cost(inst)
-        mean, stderr = expected_cost_mc(inst, instance_source(inst), 4000, np.random.default_rng(7))
+        mean, stderr = expected_cost_mc(inst, inst.sims, 4000, np.random.default_rng(7))
         assert mean == pytest.approx(exact, abs=max(3 * stderr, 1e-9))
 
     def test_trials_validated(self):
         inst = Instance(2, [0.5])
         with pytest.raises(ValueError):
-            expected_cost_mc(inst, instance_source(inst), 0, np.random.default_rng(0))
+            expected_cost_mc(inst, inst.sims, 0, np.random.default_rng(0))
 
 
 class TestPartitionEnumeration:
@@ -243,13 +244,15 @@ class TestFiveApproximation:
             inst = generate(GeneratorSpec("uniform_random", n=n, seed=seed))
             opt = brute_force_opt(inst).opt_value
             mean, stderr = expected_cost_mc(
-                inst, instance_source(inst), 2000, np.random.default_rng(seed)
+                inst, inst.sims, 2000, np.random.default_rng(seed)
             )
             assert mean <= 5.0 * opt + 3.0 * stderr
 
 
 class TestArraySource:
     def test_values_outside_unit_interval_allowed(self):
-        src = array_source(np.array([1.4, -0.2, 0.6]), 3)
-        assert src(0, 1) == pytest.approx(1.4)
-        assert src(0, 2) == pytest.approx(-0.2)
+        # Pairs (0,1), (0,2), (1,2): 0 and 1 always meet, 2 never joins them.
+        shat = np.array([1.4, -0.2, -0.3])
+        for seed in range(10):
+            labels = kwikcluster(shat, 3, np.random.default_rng(seed))
+            assert labels[0] == labels[1] != labels[2]

@@ -148,6 +148,23 @@ class TestContainment:
         out = TbhsOutput(frozenset({1}), frozenset({0, 2}), 10, 2)
         assert containment_check(out, inst, 0.1)
 
+    def test_matches_scalar_reference(self):
+        rng = np.random.default_rng(0)
+        outcomes = set()
+        for _ in range(200):
+            n = int(rng.integers(2, 6))
+            m = num_pairs(n)
+            inst = Instance(n, rng.choice([0.1, 0.45, 0.5, 0.55, 0.9], size=m))
+            good = frozenset(np.flatnonzero(rng.random(m) < 0.5).tolist())
+            out = TbhsOutput(good, frozenset(range(m)) - good, 0, 0)
+            expected = all(
+                (s <= 0.6 or e in out.good) and (s >= 0.4 or e in out.bad)
+                for e, s in enumerate(inst.sims.tolist())
+            )
+            assert containment_check(out, inst, 0.1) == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
     def test_noise_free_classification_is_contained(self):
         sims = [1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0]
         inst = Instance(5, sims)

@@ -85,14 +85,14 @@ class TestUniformFc:
     def test_noiseless_exact_reaches_opt(self):
         inst = generate(GeneratorSpec("planted", n=5, k=2, in_mean=1.0, out_mean=0.0))
         oracle = Oracle(inst, seed=0)
-        report = run_uniform_fc(oracle, 5, 2.0, 0.3, OfflineSolver("exact"), np.random.default_rng(0))
+        report = run_uniform_fc(oracle, 2.0, 0.3, OfflineSolver("exact"), np.random.default_rng(0))
         opt = brute_force_opt(inst).opt_value
         assert cost(inst, report.clustering) == opt == 0.0
 
     def test_query_accounting_and_uniformity(self):
         inst = generate(GeneratorSpec("planted", n=5, k=2, seed=1))
         oracle = Oracle(inst, seed=2)
-        report = run_uniform_fc(oracle, 5, 2.0, 0.3, OfflineSolver("exact"), np.random.default_rng(0))
+        report = run_uniform_fc(oracle, 2.0, 0.3, OfflineSolver("exact"), np.random.default_rng(0))
         per_pair_target = uniform_fc_pulls(1.0, 10, 2.0, 0.3)
         assert report.queries == 10 * per_pair_target == oracle.total_pulls
         _, counts = oracle.pulls_report()
@@ -107,7 +107,7 @@ class TestUniformFc:
         for seed in range(100):
             oracle = Oracle(inst, seed=seed)
             report = run_uniform_fc(
-                oracle, 6, 0.5, 0.1, OfflineSolver("exact"), np.random.default_rng(seed)
+                oracle, 0.5, 0.1, OfflineSolver("exact"), np.random.default_rng(seed)
             )
             if cost(inst, report.clustering) <= opt + 0.5:
                 successes += 1
@@ -122,7 +122,7 @@ class TestUniformFc:
         for seed in range(20):
             oracle = Oracle(inst, seed=seed)
             report = run_uniform_fc(
-                oracle, 5, 3.0, 0.4, OfflineSolver("exact"), np.random.default_rng(seed)
+                oracle, 3.0, 0.4, OfflineSolver("exact"), np.random.default_rng(seed)
             )
             eta = max(
                 abs(oracle.empirical_mean(e) - inst.sims[e]) for e in range(m)
@@ -131,7 +131,7 @@ class TestUniformFc:
 
     def test_n1(self):
         report = run_uniform_fc(
-            Oracle(Instance(1, []), seed=0), 1, 0.5, 0.1, OfflineSolver("exact")
+            Oracle(Instance(1, []), seed=0), 0.5, 0.1, OfflineSolver("exact")
         )
         assert list(report.clustering) == [0]
         assert report.queries == 0
@@ -141,10 +141,10 @@ class TestUniformFc:
         inst = Instance(n, [0.5] * num_pairs(n))
         oracle = Oracle(inst, seed=0)
         with pytest.raises(InstanceTooLargeError):
-            run_uniform_fc(oracle, n, 10.0, 0.5, OfflineSolver("exact"))
+            run_uniform_fc(oracle, 10.0, 0.5, OfflineSolver("exact"))
         assert oracle.total_pulls == 0
         with pytest.raises(InstanceTooLargeError):
-            run_uniform_fb(oracle, n, 10**6, OfflineSolver("exact"))
+            run_uniform_fb(oracle, 10**6, OfflineSolver("exact"))
         assert oracle.total_pulls == 0
 
 
@@ -153,7 +153,7 @@ class TestUniformFb:
         inst = generate(GeneratorSpec("planted", n=5, k=2, in_mean=1.0, out_mean=0.0))
         m = inst.m
         oracle = Oracle(inst, seed=0)
-        report = run_uniform_fb(oracle, 5, m, OfflineSolver("exact"), np.random.default_rng(0))
+        report = run_uniform_fb(oracle, m, OfflineSolver("exact"), np.random.default_rng(0))
         assert report.queries_used == m == oracle.total_pulls
         assert cost(inst, report.clustering) == brute_force_opt(inst).opt_value
 
@@ -162,7 +162,7 @@ class TestUniformFb:
         m = inst.m
         for budget in (m, m + 3, 10 * m + 7):
             oracle = Oracle(inst, seed=1)
-            report = run_uniform_fb(oracle, 5, budget, OfflineSolver("exact"), np.random.default_rng(0))
+            report = run_uniform_fb(oracle, budget, OfflineSolver("exact"), np.random.default_rng(0))
             assert report.queries_used == m * (budget // m) <= budget
             _, counts = oracle.pulls_report()
             assert np.all(counts == budget // m)
@@ -177,7 +177,7 @@ class TestUniformFb:
             for seed in range(200):
                 oracle = Oracle(inst, seed=seed)
                 report = run_uniform_fb(
-                    oracle, 5, budget, OfflineSolver("exact"), np.random.default_rng(seed)
+                    oracle, budget, OfflineSolver("exact"), np.random.default_rng(seed)
                 )
                 if cost(inst, report.clustering) > opt + 0.5:
                     bad += 1
@@ -188,10 +188,10 @@ class TestUniformFb:
     def test_insufficient_budget(self):
         inst = Instance(4, [0.5] * 6)
         with pytest.raises(InsufficientBudgetError):
-            run_uniform_fb(Oracle(inst, seed=0), 4, 5, OfflineSolver("exact"))
+            run_uniform_fb(Oracle(inst, seed=0), 5, OfflineSolver("exact"))
 
     def test_n1(self):
-        report = run_uniform_fb(Oracle(Instance(1, []), seed=0), 1, 0, OfflineSolver("exact"))
+        report = run_uniform_fb(Oracle(Instance(1, []), seed=0), 0, OfflineSolver("exact"))
         assert list(report.clustering) == [0]
         assert report.queries_used == 0
 
