@@ -51,7 +51,7 @@ from .offline import (
     kwikcluster,
 )
 from .oracle import NoiseModel, Oracle
-from .tbhs import ArmState, TbhsConfig, TbhsOutput, containment_check, radius, run_tbhs
+from .tbhs import TbhsConfig, TbhsOutput, containment_check, radius, run_tbhs
 from .uniform import (
     OfflineSolver,
     run_uniform_fb,
@@ -60,7 +60,6 @@ from .uniform import (
 )
 
 __all__ = [
-    "ArmState",
     "BudgetExhaustedError",
     "EpsilonBands",
     "FbReport",

@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import NoisyccError
 from .instance import GeneratorSpec, Instance, generate, load_instance, to_json
 from .kcfb import run_kcfb
 from .kcfc import run_kcfc, run_kcfc_sequential
-from .offline import brute_force_opt, expected_cost_mc
+from .offline import BRUTE_FORCE_MAX_N, brute_force_opt, expected_cost_mc
 from .oracle import NoiseModel, Oracle
 from .uniform import (
     OfflineSolver,
@@ -33,13 +33,6 @@ from .uniform import (
 )
 
 ALGOS = ("kcfc", "kcfc-seq", "kcfb", "uniform-fc", "uniform-fb")
-
-CSV_COLUMNS = (
-    "algo,seed,n,m,epsilon,delta,budget,queries,cost,"
-    "mc_expected_cost,mc_stderr,opt,success,bound_ref,wall_ms"
-)
-
-OPT_MAX_N = 13
 
 
 @dataclass
@@ -61,26 +54,10 @@ class RunRecord:
     wall_ms: float | None = None
 
     def to_csv_row(self) -> str:
-        return ",".join(
-            _fmt(v)
-            for v in (
-                self.algo,
-                self.seed,
-                self.n,
-                self.m,
-                self.epsilon,
-                self.delta,
-                self.budget,
-                self.queries,
-                self.cost,
-                self.mc_expected_cost,
-                self.mc_stderr,
-                self.opt,
-                self.success,
-                self.bound_ref,
-                self.wall_ms,
-            )
-        )
+        return ",".join(_fmt(getattr(self, f.name)) for f in fields(self))
+
+
+CSV_COLUMNS = ",".join(f.name for f in fields(RunRecord))
 
 
 def _fmt(value) -> str:
@@ -173,24 +150,20 @@ def _run_trial(
         bound_ref=bound_ref,
     )
     oracle = Oracle(instance, noise, seed=oracle_seed)
-    try:
-        start = time.perf_counter()
-        if algo == "kcfc":
-            report = run_kcfc(oracle, args.epsilon, args.delta, pivot_rng, args.radius_scale)
-        elif algo == "kcfc-seq":
-            report = run_kcfc_sequential(
-                oracle, args.epsilon, args.delta, pivot_rng, args.radius_scale
-            )
-        elif algo == "kcfb":
-            report = run_kcfb(oracle, args.budget, pivot_rng)
-        elif algo == "uniform-fc":
-            report = run_uniform_fc(oracle, args.epsilon, args.delta, solver, pivot_rng)
-        else:
-            report = run_uniform_fb(oracle, args.budget, solver, pivot_rng)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-    except NoisyccError as exc:
-        print(f"trial {trial} ({algo}): {exc}", file=sys.stderr)
-        return record
+    start = time.perf_counter()
+    if algo == "kcfc":
+        report = run_kcfc(oracle, args.epsilon, args.delta, pivot_rng, args.radius_scale)
+    elif algo == "kcfc-seq":
+        report = run_kcfc_sequential(
+            oracle, args.epsilon, args.delta, pivot_rng, args.radius_scale
+        )
+    elif algo == "kcfb":
+        report = run_kcfb(oracle, args.budget, pivot_rng)
+    elif algo == "uniform-fc":
+        report = run_uniform_fc(oracle, args.epsilon, args.delta, solver, pivot_rng)
+    else:
+        report = run_uniform_fb(oracle, args.budget, solver, pivot_rng)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
     record.queries = report.queries if hasattr(report, "queries") else report.queries_used
     record.cost = offline.cost(instance, report.clustering)
     mc_mean, mc_stderr = _mc_expected_cost(
@@ -248,8 +221,8 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
             parser.error(f"{algo} requires --budget")
         if instance.n > 1 and args.budget < instance.m:
             parser.error(f"budget {args.budget} < m = {instance.m}")
-    if algo.startswith("uniform") and args.solver == "exact" and instance.n > OPT_MAX_N:
-        parser.error(f"exact solver requires n <= {OPT_MAX_N}")
+    if algo.startswith("uniform") and args.solver == "exact" and instance.n > BRUTE_FORCE_MAX_N:
+        parser.error(f"exact solver requires n <= {BRUTE_FORCE_MAX_N}")
     try:
         solver = OfflineSolver(kind=args.solver, restarts=args.restarts)
         noise = NoiseModel("gaussian", args.sigma) if args.noise == "gaussian" else NoiseModel()
@@ -257,18 +230,24 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
         parser.error(str(exc))
 
     opt_value = None
-    if instance.n <= OPT_MAX_N:
+    if instance.n <= BRUTE_FORCE_MAX_N:
         opt_value = brute_force_opt(instance).opt_value
     bound = _bound_ref(algo, instance, args, solver)
 
     def one(trial: int) -> RunRecord:
-        return _run_trial(algo, instance, args, trial, opt_value, bound, solver, noise)
+        try:
+            return _run_trial(algo, instance, args, trial, opt_value, bound, solver, noise)
+        except NoisyccError as exc:
+            raise NoisyccError(f"trial {trial} ({algo}): {exc}") from exc
 
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            records = list(pool.map(one, range(args.trials)))
-    else:
-        records = [one(t) for t in range(args.trials)]
+    try:
+        if args.workers > 1:
+            with ThreadPoolExecutor(max_workers=args.workers) as pool:
+                records = list(pool.map(one, range(args.trials)))
+        else:
+            records = [one(t) for t in range(args.trials)]
+    except NoisyccError as exc:
+        parser.error(str(exc))
 
     lines = [CSV_COLUMNS] + [r.to_csv_row() for r in records]
     text = "\n".join(lines) + "\n"

@@ -5,10 +5,11 @@ a Bernoulli draw, or ``s(e)`` plus Gaussian noise (not clamped to [0, 1]).
 Raw noise draws come from per-pair substreams derived from ``(seed, e)``,
 so the pull order across pairs never changes any pair's reward sequence.
 
-Draws are memoized on a shared tape, which makes ``replay()`` cheap: a
-replayed oracle re-observes the identical reward sequence per pair while
-keeping its own counters, so conditional expectations over the algorithm's
-internal randomness can be estimated with the noise realization held fixed.
+Rewards are memoized on a shared tape (Bernoulli rewards as booleans), which
+makes ``replay()`` cheap: a replayed oracle re-observes the identical reward
+sequence per pair while keeping its own counters, so conditional expectations
+over the algorithm's internal randomness can be estimated with the noise
+realization held fixed.
 """
 
 from __future__ import annotations
@@ -40,15 +41,16 @@ class NoiseModel:
 
 
 class _Tape:
-    """Lazily materialized raw draws per pair, shared between replays."""
+    """Lazily materialized rewards per pair, shared between replays."""
 
-    def __init__(self, seed: int, gaussian: bool) -> None:
+    def __init__(self, seed: int, sims: np.ndarray, noise: NoiseModel) -> None:
         self.seed = seed
-        self.gaussian = gaussian
+        self.sims = sims
+        self.noise = noise
         self._streams: dict[int, np.ndarray] = {}
         self._rngs: dict[int, np.random.Generator] = {}
 
-    def draws(self, e: int, upto: int) -> np.ndarray:
+    def rewards(self, e: int, upto: int) -> np.ndarray:
         buf = self._streams.get(e)
         have = 0 if buf is None else len(buf)
         if upto > have:
@@ -57,7 +59,11 @@ class _Tape:
                 ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(e,))
                 rng = self._rngs[e] = np.random.default_rng(ss)
             grow = max(upto - have, have, 64)
-            fresh = rng.standard_normal(grow) if self.gaussian else rng.random(grow)
+            s = self.sims[e]
+            if self.noise.kind == "bernoulli":
+                fresh = rng.random(grow) < s
+            else:
+                fresh = s + self.noise.sigma * rng.standard_normal(grow)
             buf = fresh if buf is None else np.concatenate([buf, fresh])
             self._streams[e] = buf
         return buf
@@ -86,7 +92,7 @@ class Oracle:
         self._counts = np.zeros(m, dtype=np.int64)
         self._sums = np.zeros(m, dtype=np.float64)
         self._total = 0
-        self._tape = _tape if _tape is not None else _Tape(seed, self.noise.kind == "gaussian")
+        self._tape = _tape if _tape is not None else _Tape(seed, instance.sims, self.noise)
 
     @property
     def total_pulls(self) -> int:
@@ -108,12 +114,7 @@ class Oracle:
         """One noisy sample of pair e's similarity."""
         self._check(e, 1)
         i = self._counts[e]
-        draw = self._tape.draws(e, i + 1)[i]
-        s = self.instance.sims[e]
-        if self.noise.kind == "bernoulli":
-            reward = 1.0 if draw < s else 0.0
-        else:
-            reward = float(s + self.noise.sigma * draw)
+        reward = float(self._tape.rewards(e, i + 1)[i])
         self._counts[e] = i + 1
         self._sums[e] += reward
         self._total += 1
@@ -130,12 +131,7 @@ class Oracle:
         if k == 0:
             return np.empty(0)
         i = int(self._counts[e])
-        block = self._tape.draws(e, i + k)[i : i + k]
-        s = self.instance.sims[e]
-        if self.noise.kind == "bernoulli":
-            rewards = (block < s).astype(np.float64)
-        else:
-            rewards = s + self.noise.sigma * block
+        rewards = np.array(self._tape.rewards(e, i + k)[i : i + k], dtype=np.float64)
         self._counts[e] = i + k
         self._sums[e] += rewards.sum()
         self._total += k

@@ -39,24 +39,6 @@ def radius(m: int, pulls: int, delta: float, scale: float = 1.0) -> float:
 
 
 @dataclass(frozen=True)
-class ArmState:
-    """Snapshot of one arm: pull count, empirical mean, confidence radius."""
-
-    e: int
-    pulls: int
-    mean: float
-    rad: float
-
-    @property
-    def lcb(self) -> float:
-        return self.mean - self.rad
-
-    @property
-    def ucb(self) -> float:
-        return self.mean + self.rad
-
-
-@dataclass(frozen=True)
 class TbhsConfig:
     epsilon: float
     delta: float
@@ -101,55 +83,47 @@ def run_tbhs(
     delta = config.delta
     scale = config.radius_scale
 
-    states: dict[int, ArmState] = {}
-    version: dict[int, int] = {}
-    lcb_heap: list[tuple[float, int, int]] = []
-    ucb_heap: list[tuple[float, int, int]] = []
+    # Flat per-arm state keyed by pair index, after one pull of every arm.
+    # A heap entry is stale once its key differs from the arm's current
+    # bound; a stale entry whose key still equals the bound selects the same
+    # arm as the live one.
+    mean = {e: oracle.pull(e) for e in arm_list}
+    pulls = dict.fromkeys(arm_list, 1)
+    rad = radius(m, 1, delta, scale)
+    lcb = {e: mu - rad for e, mu in mean.items()}
+    ucb = {e: mu + rad for e, mu in mean.items()}
+    lcb_heap = [(-lcb[e], e) for e in arm_list]
+    ucb_heap = [(ucb[e], e) for e in arm_list]
+    heapq.heapify(lcb_heap)
+    heapq.heapify(ucb_heap)
     active = set(arm_list)
 
-    def observe(e: int, reward: float) -> None:
-        prev = states.get(e)
-        pulls = 1 if prev is None else prev.pulls + 1
-        mean = reward if prev is None else prev.mean + (reward - prev.mean) / pulls
-        states[e] = ArmState(e, pulls, mean, radius(m, pulls, delta, scale))
-
-    def publish(e: int) -> None:
-        version[e] = version.get(e, 0) + 1
-        st = states[e]
-        heapq.heappush(lcb_heap, (-st.lcb, e, version[e]))
-        heapq.heappush(ucb_heap, (st.ucb, e, version[e]))
-
-    def peek(heap: list[tuple[float, int, int]]) -> int:
-        while heap:
-            _, e, ver = heap[0]
-            if e in active and version[e] == ver:
-                return e
-            heapq.heappop(heap)
-        raise AssertionError("selection heap drained while arms remain active")
-
-    pulls_used = 0
-    for e in arm_list:
-        observe(e, oracle.pull(e))
-        publish(e)
-        pulls_used += 1
-
+    pulls_used = m
     good: set[int] = set()
     bad: set[int] = set()
     rounds = 0
     while active:
-        e_g = peek(lcb_heap)
-        e_b = peek(ucb_heap)
-        observe(e_g, oracle.pull(e_g))
-        observe(e_b, oracle.pull(e_b))
-        publish(e_g)
-        if e_b != e_g:
-            publish(e_b)
+        while lcb_heap[0][1] not in active or -lcb_heap[0][0] != lcb[lcb_heap[0][1]]:
+            heapq.heappop(lcb_heap)
+        while ucb_heap[0][1] not in active or ucb_heap[0][0] != ucb[ucb_heap[0][1]]:
+            heapq.heappop(ucb_heap)
+        e_g = lcb_heap[0][1]
+        e_b = ucb_heap[0][1]
+        for e in (e_g, e_b):
+            reward = oracle.pull(e)
+            k = pulls[e] = pulls[e] + 1
+            mu = mean[e] = mean[e] + (reward - mean[e]) / k
+            rad = radius(m, k, delta, scale)
+            lcb[e] = mu - rad
+            ucb[e] = mu + rad
+            heapq.heappush(lcb_heap, (-lcb[e], e))
+            heapq.heappush(ucb_heap, (ucb[e], e))
         pulls_used += 2
         rounds += 1
-        if states[e_g].lcb >= 0.5 - eps:
+        if lcb[e_g] >= 0.5 - eps:
             good.add(e_g)
             active.remove(e_g)
-        if e_b in active and states[e_b].ucb <= 0.5 + eps:
+        if e_b in active and ucb[e_b] <= 0.5 + eps:
             bad.add(e_b)
             active.remove(e_b)
         if max_pulls is not None and pulls_used > max_pulls:

@@ -184,6 +184,22 @@ class TestBadRunInputs:
              "--budget", "10"], capsys)
         assert "cannot load instance" in line and "'n' must be an integer" in line
 
+    @pytest.mark.parametrize("algo,flags,word", [
+        ("kcfc", ["--epsilon", "100", "--delta", "0.1"], "epsilon"),
+        ("kcfc", ["--epsilon", "1.0", "--delta", "0.1", "--radius-scale", "0"], "radius_scale"),
+        ("kcfc-seq", ["--epsilon", "1.0", "--delta", "1.5"], "delta"),
+        ("uniform-fc", ["--epsilon", "1.0", "--delta", "1.5"], "delta"),
+    ])
+    def test_algorithm_parameter_error(
+        self, algo, flags, word, noiseless_instance, tmp_path, capsys
+    ):
+        out = tmp_path / "res.csv"
+        line = self.usage_error(
+            ["run", "--algo", algo, "--instance", str(noiseless_instance), *flags,
+             "--mc-replays", "5", "--out", str(out)], capsys)
+        assert line.startswith(f"noisycc: error: trial 0 ({algo}):") and word in line
+        assert not out.exists()
+
     def test_default_solver_does_not_gate_solver_free_algos(self, tmp_path):
         path = tmp_path / "n15.json"
         run_main(["gen", "--kind", "planted", "--n", "15", "--k", "3", "--seed", "2",

@@ -97,6 +97,16 @@ class TestStreams:
         assert o.total_pulls == 25
 
 
+    @pytest.mark.parametrize("noise", [None, NoiseModel("gaussian", sigma=0.4)])
+    def test_writing_pull_many_result_leaves_tape_intact(self, noise):
+        inst = Instance(3, [0.3, 0.6, 0.9])
+        o = Oracle(inst, noise, seed=13)
+        rewards = o.pull_many(1, 30)
+        assert rewards.dtype == np.float64
+        first = rewards.copy()
+        rewards[:] = 42.0
+        assert np.array_equal(o.replay().pull_many(1, 30), first)
+
 class TestAccounting:
     def test_empirical_mean_arithmetic(self):
         # Find a seed whose first three Bernoulli(0.5) rewards are 1, 0, 1.

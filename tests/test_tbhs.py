@@ -5,13 +5,16 @@ import pytest
 
 from noisycc import (
     BudgetExhaustedError,
+    GeneratorSpec,
     Instance,
+    NoiseModel,
     NoSamplesError,
     Oracle,
     ParameterError,
     TbhsConfig,
     TbhsOutput,
     containment_check,
+    generate,
     num_pairs,
     radius,
     run_tbhs,
@@ -131,6 +134,43 @@ class TestRunTbhs:
         assert scaled.good | scaled.bad == frozenset({0})
         assert scaled.pulls_used > base.pulls_used
 
+
+
+class TestPinnedOutputs:
+    """Pinned (pulls_used, rounds, good) of ``run_tbhs``: any change to arm
+    selection, tie-breaking or the reward stream changes them."""
+
+    @staticmethod
+    def summary(out):
+        return out.pulls_used, out.rounds, sorted(out.good)
+
+    @pytest.mark.parametrize("seed,expected", [
+        (0, (856, 425, [1, 4])),
+        (1, (708, 351, [0, 1, 2])),
+    ])
+    def test_all_half_instance(self, seed, expected):
+        # Every arm has s = 0.5, so equal (pulls, mean) states tie constantly.
+        inst = Instance(4, [0.5] * 6)
+        out = run_tbhs(Oracle(inst, seed=seed), range(6), TbhsConfig(0.2, 0.1))
+        assert self.summary(out) == expected
+
+    def test_planted_at_kcfc_slack(self):
+        inst = generate(GeneratorSpec("planted", n=8, k=2, flip_noise=0.1, seed=7))
+        m = inst.m
+        out = run_tbhs(Oracle(inst, seed=3), range(m), TbhsConfig(1.0 / (12 * m), 0.1))
+        good = [1, 3, 5, 6, 8, 10, 12, 14, 16, 19, 21, 24, 26]
+        assert self.summary(out) == (1278, 625, good)
+
+    def test_gaussian_oracle(self):
+        inst = Instance(4, [0.9, 0.8, 0.2, 0.1, 0.7, 0.3])
+        oracle = Oracle(inst, NoiseModel("gaussian", 0.3), seed=4)
+        out = run_tbhs(oracle, range(6), TbhsConfig(0.1, 0.1, radius_scale=0.6))
+        assert self.summary(out) == (86, 40, [0, 1, 4])
+
+    def test_subset_of_arms(self):
+        inst = Instance(4, [0.9, 0.8, 0.2, 0.1, 0.7, 0.3])
+        out = run_tbhs(Oracle(inst, seed=3), {1, 4, 5}, TbhsConfig(0.1, 0.1))
+        assert self.summary(out) == (201, 99, [1, 4])
 
 class TestContainment:
     def test_all_high_in_good(self):
