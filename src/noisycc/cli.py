@@ -1,6 +1,6 @@
 """Experiment harness: generate instances, run any algorithm across seeded
-trials, compare against the brute-force optimum and the theoretical bounds,
-and emit one CSV row per trial.
+trials, compare against the exact optimum (subset DP, n <= 13) and the
+theoretical bounds, and emit one CSV row per trial.
 
 Identical command lines produce byte-identical output.  Wall-clock timing is
 therefore opt-in (``--timing``); without it the wall_ms column stays empty.
@@ -22,7 +22,7 @@ from .errors import NoisyccError
 from .instance import GeneratorSpec, Instance, generate, load_instance, to_json
 from .kcfb import run_kcfb
 from .kcfc import run_kcfc, run_kcfc_sequential
-from .offline import BRUTE_FORCE_MAX_N, brute_force_opt, expected_cost_mc
+from .offline import EXACT_MAX_N, brute_force_opt, expected_cost_mc
 from .oracle import NoiseModel, Oracle
 from .uniform import (
     OfflineSolver,
@@ -221,8 +221,8 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
             parser.error(f"{algo} requires --budget")
         if instance.n > 1 and args.budget < instance.m:
             parser.error(f"budget {args.budget} < m = {instance.m}")
-    if algo.startswith("uniform") and args.solver == "exact" and instance.n > BRUTE_FORCE_MAX_N:
-        parser.error(f"exact solver requires n <= {BRUTE_FORCE_MAX_N}")
+    if algo.startswith("uniform") and args.solver == "exact" and instance.n > EXACT_MAX_N:
+        parser.error(f"exact solver requires n <= {EXACT_MAX_N}")
     try:
         solver = OfflineSolver(kind=args.solver, restarts=args.restarts)
         noise = NoiseModel("gaussian", args.sigma) if args.noise == "gaussian" else NoiseModel()
@@ -230,7 +230,7 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
         parser.error(str(exc))
 
     opt_value = None
-    if instance.n <= BRUTE_FORCE_MAX_N:
+    if instance.n <= EXACT_MAX_N:
         opt_value = brute_force_opt(instance).opt_value
     bound = _bound_ref(algo, instance, args, solver)
 

@@ -30,7 +30,7 @@ class InsufficientBudgetError(NoisyccError, ValueError):
 
 
 class InstanceTooLargeError(NoisyccError, ValueError):
-    """Exact optimization was requested above the enumeration cutoff."""
+    """Exact optimization was requested above its size cutoff (n <= 13)."""
 
 
 class ParameterError(NoisyccError, ValueError):

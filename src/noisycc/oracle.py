@@ -88,7 +88,7 @@ class Oracle:
         self.noise = noise if noise is not None else NoiseModel()
         self.seed = seed
         self.budget = budget
-        m = instance.m
+        self._m = m = instance.m
         self._counts = np.zeros(m, dtype=np.int64)
         self._sums = np.zeros(m, dtype=np.float64)
         self._total = 0
@@ -103,8 +103,8 @@ class Oracle:
         return Oracle(self.instance, self.noise, self.seed, budget, _tape=self._tape)
 
     def _check(self, e: int, k: int) -> None:
-        if not (0 <= e < self.instance.m):
-            raise InvalidPairError(f"pair index {e} out of range (m={self.instance.m})")
+        if not (0 <= e < self._m):
+            raise InvalidPairError(f"pair index {e} out of range (m={self._m})")
         if self.budget is not None and self._total + k > self.budget:
             raise BudgetExhaustedError(
                 f"budget {self.budget} exhausted: {self._total} used, {k} requested"
@@ -138,8 +138,8 @@ class Oracle:
         return rewards
 
     def empirical_mean(self, e: int) -> float:
-        if not (0 <= e < self.instance.m):
-            raise InvalidPairError(f"pair index {e} out of range (m={self.instance.m})")
+        if not (0 <= e < self._m):
+            raise InvalidPairError(f"pair index {e} out of range (m={self._m})")
         if self._counts[e] == 0:
             raise NoSamplesError(f"pair {e} has never been pulled")
         return float(self._sums[e] / self._counts[e])

@@ -19,7 +19,7 @@ from .errors import InstanceTooLargeError, InsufficientBudgetError, ParameterErr
 from .instance import num_pairs
 from .kcfb import FbReport
 from .kcfc import FcReport
-from .offline import BRUTE_FORCE_MAX_N, kwikcluster, min_cost_partition, pairwise_cost
+from .offline import EXACT_MAX_N, kwikcluster, min_cost_partition, pairwise_cost
 from .oracle import Oracle
 
 
@@ -27,7 +27,7 @@ from .oracle import Oracle
 class OfflineSolver:
     """Offline solver for an estimated instance.
 
-    kind "exact": brute-force optimum (alpha = 1, n <= 13 only).
+    kind "exact": optimum by subset DP, see ``min_cost_partition`` (alpha = 1, n <= 13).
     kind "kwik_restarts": best of ``restarts`` random-pivot runs (alpha = 5).
     """
 
@@ -85,9 +85,9 @@ def _estimated_sims(oracle: Oracle, per_pair: int) -> np.ndarray:
 
 
 def _check_solver_fits(solver: OfflineSolver, n: int) -> None:
-    if solver.kind == "exact" and n > BRUTE_FORCE_MAX_N:
+    if solver.kind == "exact" and n > EXACT_MAX_N:
         raise InstanceTooLargeError(
-            f"exact solver supports n <= {BRUTE_FORCE_MAX_N}, got n={n}"
+            f"exact solver supports n <= {EXACT_MAX_N}, got n={n}"
         )
 
 

@@ -20,7 +20,8 @@ from noisycc import (
     pair_index,
 )
 from noisycc.instance import pair_mask
-from noisycc.offline import iter_partitions, pivot_cluster
+from noisycc.offline import min_cost_partition, pairwise_cost, pivot_cluster
+from partitions import enumerated_opt, iter_partitions
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -235,6 +236,45 @@ class TestBruteForceOpt:
             opt = brute_force_opt(inst)
             best = min(brute_cost(inst, p) for p in iter_partitions(6))
             assert opt.opt_value == pytest.approx(best, abs=1e-12)
+
+
+class TestSubsetDp:
+    """The subset DP must return the enumeration's optimum and witness exactly."""
+
+    @staticmethod
+    def assert_same_as_enumeration(sims, n):
+        got = min_cost_partition(sims, n)
+        want = enumerated_opt(sims, n)
+        assert np.array_equal(got.witness, want.witness)
+        assert got.opt_value == want.opt_value
+
+    # Dyadic values tie exactly; the other grid ties only up to rounding, which
+    # the DP and pairwise_cost do differently.
+    @pytest.mark.parametrize("grid", [[0.0, 0.25, 0.5, 0.75, 1.0], [0.1, 0.3, 0.5, 0.7, 0.9]])
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 8), data=st.data())
+    def test_tie_heavy_grid(self, grid, n, data):
+        values = st.sampled_from(grid)
+        sims = data.draw(st.lists(values, min_size=num_pairs(n), max_size=num_pairs(n)))
+        self.assert_same_as_enumeration(np.array(sims, dtype=np.float64), n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 8), st.data())
+    def test_uniform_floats(self, n, data):
+        floats = st.floats(0.0, 1.0)
+        sims = data.draw(st.lists(floats, min_size=num_pairs(n), max_size=num_pairs(n)))
+        self.assert_same_as_enumeration(np.array(sims, dtype=np.float64), n)
+
+    def test_all_half_n9(self):
+        # Every one of the 21,147 partitions costs the same.
+        self.assert_same_as_enumeration(np.full(num_pairs(9), 0.5), 9)
+
+    def test_planted_n13(self):
+        inst = generate(GeneratorSpec("planted", n=13, k=3, flip_noise=0.1,
+                                      in_mean=0.9, out_mean=0.1, seed=2))
+        result = brute_force_opt(inst)
+        assert result.opt_value == pairwise_cost(inst.sims, result.witness)
+        assert result.opt_value <= cost(inst, inst.ground_truth)
 
 
 class TestFiveApproximation:
