@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -82,7 +81,7 @@ def _mc_expected_cost(
     instance: Instance,
     oracle: Oracle,
     report,
-    args,
+    run,
     solver: OfflineSolver,
     replay_ss: np.random.SeedSequence,
     replays: int,
@@ -90,14 +89,9 @@ def _mc_expected_cost(
     rng = np.random.default_rng(replay_ss)
     if algo == "kcfc":
         return expected_cost_mc(instance, report.good_mask, replays, rng)
-    if algo == "kcfc-seq":
+    if algo in ("kcfc-seq", "kcfb"):
         def draw():
-            return run_kcfc_sequential(
-                oracle.replay(), args.epsilon, args.delta, rng, args.radius_scale
-            ).clustering
-    elif algo == "kcfb":
-        def draw():
-            return run_kcfb(oracle.replay(), args.budget, rng).clustering
+            return run(oracle.replay(), rng).clustering
     elif solver.kind == "exact":
         # Uniform baselines: the estimate is fixed, only the solver may be random.
         return offline.cost(instance, report.clustering), 0.0
@@ -110,17 +104,15 @@ def _mc_expected_cost(
 
 
 def _bound_ref(algo: str, instance: Instance, args, solver: OfflineSolver) -> float | None:
+    m = instance.m
     try:
         if algo == "kcfc":
-            m = instance.m
             return analysis.fc_sample_bound(instance, args.epsilon / (12.0 * m), args.delta)
         if algo == "kcfb":
             return analysis.fb_error_bound(instance, args.budget, args.epsilon)
         if algo == "uniform-fc":
-            m = instance.m
             return float(m * uniform_fc_pulls(solver.alpha, m, args.epsilon, args.delta))
         if algo == "uniform-fb":
-            m = instance.m
             return uniform_fb_error_bound(solver.alpha, m, args.budget // m, args.epsilon)
     except (NoisyccError, ZeroDivisionError):
         return None
@@ -149,25 +141,22 @@ def _run_trial(
         opt=opt_value,
         bound_ref=bound_ref,
     )
+    eps, delta, budget, scale = args.epsilon, args.delta, args.budget, args.radius_scale
+    run = {
+        "kcfc": lambda o, rng: run_kcfc(o, eps, delta, rng, scale),
+        "kcfc-seq": lambda o, rng: run_kcfc_sequential(o, eps, delta, rng, scale),
+        "kcfb": lambda o, rng: run_kcfb(o, budget, rng),
+        "uniform-fc": lambda o, rng: run_uniform_fc(o, eps, delta, solver, rng),
+        "uniform-fb": lambda o, rng: run_uniform_fb(o, budget, solver, rng),
+    }[algo]
     oracle = Oracle(instance, noise, seed=oracle_seed)
     start = time.perf_counter()
-    if algo == "kcfc":
-        report = run_kcfc(oracle, args.epsilon, args.delta, pivot_rng, args.radius_scale)
-    elif algo == "kcfc-seq":
-        report = run_kcfc_sequential(
-            oracle, args.epsilon, args.delta, pivot_rng, args.radius_scale
-        )
-    elif algo == "kcfb":
-        report = run_kcfb(oracle, args.budget, pivot_rng)
-    elif algo == "uniform-fc":
-        report = run_uniform_fc(oracle, args.epsilon, args.delta, solver, pivot_rng)
-    else:
-        report = run_uniform_fb(oracle, args.budget, solver, pivot_rng)
+    report = run(oracle, pivot_rng)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     record.queries = report.queries if hasattr(report, "queries") else report.queries_used
     record.cost = offline.cost(instance, report.clustering)
     mc_mean, mc_stderr = _mc_expected_cost(
-        algo, instance, oracle, report, args, solver, replay_ss, args.mc_replays
+        algo, instance, oracle, report, run, solver, replay_ss, args.mc_replays
     )
     record.mc_expected_cost = mc_mean
     record.mc_stderr = mc_stderr
@@ -211,18 +200,15 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--trials must be >= 1")
     if args.mc_replays < 1:
         parser.error("--mc-replays must be >= 1")
+    if args.workers < 1:
+        parser.error("--workers must be >= 1")
     algo = args.algo
     if algo in ("kcfc", "kcfc-seq", "uniform-fc") and args.delta is None:
         parser.error(f"{algo} requires --delta")
     if args.epsilon is None:
         parser.error(f"{algo} requires --epsilon")
-    if algo in ("kcfb", "uniform-fb"):
-        if args.budget is None:
-            parser.error(f"{algo} requires --budget")
-        if instance.n > 1 and args.budget < instance.m:
-            parser.error(f"budget {args.budget} < m = {instance.m}")
-    if algo.startswith("uniform") and args.solver == "exact" and instance.n > EXACT_MAX_N:
-        parser.error(f"exact solver requires n <= {EXACT_MAX_N}")
+    if algo in ("kcfb", "uniform-fb") and args.budget is None:
+        parser.error(f"{algo} requires --budget")
     try:
         solver = OfflineSolver(kind=args.solver, restarts=args.restarts)
         noise = NoiseModel("gaussian", args.sigma) if args.noise == "gaussian" else NoiseModel()
@@ -233,21 +219,13 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
     if instance.n <= EXACT_MAX_N:
         opt_value = brute_force_opt(instance).opt_value
     bound = _bound_ref(algo, instance, args, solver)
-
-    def one(trial: int) -> RunRecord:
+    records = []
+    for trial in range(args.trials):
         try:
-            return _run_trial(algo, instance, args, trial, opt_value, bound, solver, noise)
+            record = _run_trial(algo, instance, args, trial, opt_value, bound, solver, noise)
         except NoisyccError as exc:
-            raise NoisyccError(f"trial {trial} ({algo}): {exc}") from exc
-
-    try:
-        if args.workers > 1:
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                records = list(pool.map(one, range(args.trials)))
-        else:
-            records = [one(t) for t in range(args.trials)]
-    except NoisyccError as exc:
-        parser.error(str(exc))
+            parser.error(f"trial {trial} ({algo}): {exc}")
+        records.append(record)
 
     lines = [CSV_COLUMNS] + [r.to_csv_row() for r in records]
     text = "\n".join(lines) + "\n"
@@ -258,14 +236,7 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def cmd_analyze(args, parser: argparse.ArgumentParser) -> int:
-    try:
-        instance = load_instance(args.instance)
-    except (NoisyccError, OSError, ValueError) as exc:
-        parser.error(f"cannot load instance: {exc}")
-    eps = args.epsilon
-    if not eps > 0:
-        parser.error("--epsilon must be positive")
+def _analysis_lines(instance: Instance, eps: float, delta: float, budget: int) -> list[str]:
     out = []
     out.append(f"n: {instance.n}")
     out.append(f"m: {instance.m}")
@@ -274,8 +245,7 @@ def cmd_analyze(args, parser: argparse.ArgumentParser) -> int:
     out.append(f"m_g: {profile.m_g}")
     if instance.m == 0:
         out.append("note: no pairs; gap analysis is empty")
-        print("\n".join(out))
-        return 0
+        return out
     if 0.0 < eps < 0.5:
         bands = analysis.epsilon_bands(instance, eps)
         out.append(f"band_size: {len(bands.band)}")
@@ -288,7 +258,7 @@ def cmd_analyze(args, parser: argparse.ArgumentParser) -> int:
             out.append(f"tilde_gaps_min: {float(tg.min())!r}")
             out.append(f"tilde_gaps_mean: {float(tg.mean())!r}")
             out.append(f"tilde_gaps_max: {float(tg.max())!r}")
-        out.append(f"fc_sample_bound: {analysis.fc_sample_bound(instance, eps, args.delta)!r}")
+        out.append(f"fc_sample_bound: {analysis.fc_sample_bound(instance, eps, delta)!r}")
     else:
         out.append("band_size: n/a (epsilon not in (0, 0.5))")
     eps_prime = eps / (12.0 * instance.m)
@@ -296,10 +266,24 @@ def cmd_analyze(args, parser: argparse.ArgumentParser) -> int:
         out.append(f"epsilon_prime: {eps_prime!r}")
         out.append(
             "fc_sample_bound_eps_prime: "
-            f"{analysis.fc_sample_bound(instance, eps_prime, args.delta)!r}"
+            f"{analysis.fc_sample_bound(instance, eps_prime, delta)!r}"
         )
     out.append(f"fb_min_gap: {analysis.fb_min_gap(instance, eps)!r}")
-    out.append(f"fb_error_bound: {analysis.fb_error_bound(instance, args.budget, eps)!r}")
+    out.append(f"fb_error_bound: {analysis.fb_error_bound(instance, budget, eps)!r}")
+    return out
+
+
+def cmd_analyze(args, parser: argparse.ArgumentParser) -> int:
+    try:
+        instance = load_instance(args.instance)
+    except (NoisyccError, OSError, ValueError) as exc:
+        parser.error(f"cannot load instance: {exc}")
+    if not args.epsilon > 0:
+        parser.error("--epsilon must be positive")
+    try:
+        out = _analysis_lines(instance, args.epsilon, args.delta, args.budget)
+    except NoisyccError as exc:
+        parser.error(str(exc))
     print("\n".join(out))
     return 0
 
@@ -337,7 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--noise", choices=("bernoulli", "gaussian"), default="bernoulli")
     run.add_argument("--sigma", type=float, default=0.1)
     run.add_argument("--radius-scale", type=float, default=1.0, dest="radius_scale")
-    run.add_argument("--workers", type=int, default=1)
+    run.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted (>= 1) but has no effect: trials run serially; kept so "
+        "existing command lines still parse",
+    )
     run.add_argument("--timing", action="store_true", help="fill wall_ms (non-deterministic)")
     run.add_argument("--out", default=None, help="output CSV path (default: stdout)")
 

@@ -79,8 +79,6 @@ def run_kcfc_sequential(
     """Per-phase variant: threshold-bandit only the pivot's incident pairs."""
     _validate(epsilon, delta)
     n = oracle.instance.n
-    if n == 1:
-        return FcReport(np.zeros(1, dtype=np.int64), 0, epsilon, delta, None, 0, None)
     if rng is None:
         rng = np.random.default_rng()
     queries = 0

@@ -98,17 +98,11 @@ def run_uniform_fc(
     solver: OfflineSolver,
     rng: np.random.Generator | None = None,
 ) -> FcReport:
-    n = oracle.instance.n
-    _check_solver_fits(solver, n)
-    if rng is None:
-        rng = np.random.default_rng()
-    if n == 1:
-        return FcReport(np.zeros(1, dtype=np.int64), 0, epsilon, delta, None, None)
-    m = num_pairs(n)
-    per_pair = uniform_fc_pulls(solver.alpha, m, epsilon, delta)
-    shat = _estimated_sims(oracle, per_pair)
-    labels = solver.solve(shat, n, rng)
-    return FcReport(labels, m * per_pair, epsilon, delta, None, None)
+    """The fixed-budget baseline at the budget of ``uniform_fc_pulls`` per pair."""
+    m = oracle.instance.m
+    per_pair = uniform_fc_pulls(solver.alpha, m, epsilon, delta) if m else 0
+    report = run_uniform_fb(oracle, m * per_pair, solver, rng)
+    return FcReport(report.clustering, report.queries_used, epsilon, delta, None, None)
 
 
 def run_uniform_fb(

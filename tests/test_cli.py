@@ -200,6 +200,42 @@ class TestBadRunInputs:
         assert line.startswith(f"noisycc: error: trial 0 ({algo}):") and word in line
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one(self, workers, noiseless_instance, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        line = self.usage_error(
+            ["run", "--algo", "kcfb", "--instance", str(noiseless_instance),
+             "--epsilon", "0.5", "--budget", "60", "--workers", workers,
+             "--out", str(out)], capsys)
+        assert line == "noisycc: error: --workers must be >= 1"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algo,flags", [
+        ("uniform-fc", ["--epsilon", "1.0", "--delta", "0.1"]),
+        ("uniform-fb", ["--epsilon", "1.0", "--budget", "210"]),
+    ])
+    def test_exact_solver_too_large_fails_in_trial(self, algo, flags, tmp_path, capsys):
+        path = tmp_path / "n15.json"
+        run_main(["gen", "--kind", "planted", "--n", "15", "--k", "3", "--seed", "2",
+                  "--out", str(path)])
+        out = tmp_path / "res.csv"
+        line = self.usage_error(
+            ["run", "--algo", algo, "--instance", str(path), *flags,
+             "--mc-replays", "5", "--out", str(out)], capsys)
+        assert line.startswith(f"noisycc: error: trial 0 ({algo}):") and "n <= 13" in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algo", ["kcfb", "uniform-fb"])
+    def test_budget_below_m_fails_in_trial(self, algo, noiseless_instance, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        line = self.usage_error(
+            ["run", "--algo", algo, "--instance", str(noiseless_instance),
+             "--epsilon", "0.5", "--budget", "10", "--mc-replays", "5",
+             "--out", str(out)], capsys)
+        assert line.startswith(f"noisycc: error: trial 0 ({algo}):")
+        assert "budget 10 < m = 15" in line
+        assert not out.exists()
+
     def test_default_solver_does_not_gate_solver_free_algos(self, tmp_path):
         path = tmp_path / "n15.json"
         run_main(["gen", "--kind", "planted", "--n", "15", "--k", "3", "--seed", "2",
@@ -250,3 +286,20 @@ class TestAnalyze:
         with pytest.raises(SystemExit) as exc:
             run_main(["analyze", "--instance", str(tmp_path / "absent.json")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags,word", [
+        (["--delta", "1.5"], "delta"),
+        (["--delta", "0"], "delta"),
+        (["--budget", "-1"], "budget"),
+    ])
+    def test_bad_parameter_usage_error(self, flags, word, tmp_path, capsys):
+        path = tmp_path / "three.json"
+        save_instance(THREE_ARM, path)
+        with pytest.raises(SystemExit) as exc:
+            run_main(["analyze", "--instance", str(path), *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        line = captured.err.strip().splitlines()[-1]
+        assert line.startswith("noisycc: error:") and word in line

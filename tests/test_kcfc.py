@@ -132,6 +132,10 @@ class TestKcfcSequential:
         report = run_kcfc_sequential(Oracle(Instance(1, []), seed=0), 0.5, 0.1)
         assert list(report.clustering) == [0]
         assert report.queries == 0
+        assert report.good_set_size == 0
+        assert report.epsilon_prime is None
+        assert report.good_mask is None
+        assert (report.epsilon, report.delta) == (0.5, 0.1)
 
     def test_epsilon_too_large_for_single_pair_phase(self):
         inst = Instance(2, [0.9])
