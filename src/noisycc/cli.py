@@ -9,6 +9,7 @@ therefore opt-in (``--timing``); without it the wall_ms column stays empty.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -207,6 +208,8 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
         parser.error(f"{algo} requires --delta")
     if args.epsilon is None:
         parser.error(f"{algo} requires --epsilon")
+    if not 0 < args.epsilon < math.inf:
+        parser.error("--epsilon must be positive and finite")
     if algo in ("kcfb", "uniform-fb") and args.budget is None:
         parser.error(f"{algo} requires --budget")
     try:
@@ -278,8 +281,8 @@ def cmd_analyze(args, parser: argparse.ArgumentParser) -> int:
         instance = load_instance(args.instance)
     except (NoisyccError, OSError, ValueError) as exc:
         parser.error(f"cannot load instance: {exc}")
-    if not args.epsilon > 0:
-        parser.error("--epsilon must be positive")
+    if not 0 < args.epsilon < math.inf:
+        parser.error("--epsilon must be positive and finite")
     try:
         out = _analysis_lines(instance, args.epsilon, args.delta, args.budget)
     except NoisyccError as exc:

@@ -14,6 +14,7 @@ realization held fixed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in ("bernoulli", "gaussian"):
             raise ParameterError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "gaussian" and not self.sigma > 0:
-            raise ParameterError("gaussian noise requires sigma > 0")
+        if self.kind == "gaussian" and not 0 < self.sigma < math.inf:
+            raise ParameterError(f"gaussian noise requires a finite sigma > 0, got {self.sigma}")
 
 
 class _Tape:
@@ -63,7 +64,13 @@ class _Tape:
             if self.noise.kind == "bernoulli":
                 fresh = rng.random(grow) < s
             else:
-                fresh = s + self.noise.sigma * rng.standard_normal(grow)
+                with np.errstate(over="ignore"):
+                    fresh = s + self.noise.sigma * rng.standard_normal(grow)
+                if not np.isfinite(fresh).all():
+                    raise ParameterError(
+                        f"gaussian noise with sigma={self.noise.sigma} drew a"
+                        f" non-finite reward for pair {e}"
+                    )
             buf = fresh if buf is None else np.concatenate([buf, fresh])
             self._streams[e] = buf
         return buf
@@ -136,6 +143,29 @@ class Oracle:
         self._sums[e] += rewards.sum()
         self._total += k
         return rewards
+
+    def peek(self, e: int, k: int) -> list[float]:
+        """The next k rewards of pair e as floats, without pulling them."""
+        if not (0 <= e < self._m):
+            raise InvalidPairError(f"pair index {e} out of range (m={self._m})")
+        i = int(self._counts[e])
+        return self._tape.rewards(e, i + k)[i : i + k].astype(np.float64).tolist()
+
+    def advance(self, e: int, k: int) -> None:
+        """Count pair e's next k rewards as pulled, exactly as k calls of
+        ``pull`` would: the sum is accumulated one reward at a time.
+
+        Raises before mutating anything if the budget cannot cover all k.
+        """
+        if k < 0:
+            raise ValueError("k must be >= 0")
+        self._check(e, k)
+        total = float(self._sums[e])
+        for reward in self.peek(e, k):
+            total += reward
+        self._counts[e] += k
+        self._sums[e] = total
+        self._total += k
 
     def empirical_mean(self, e: int) -> float:
         if not (0 <= e < self._m):

@@ -200,6 +200,44 @@ class TestBadRunInputs:
         assert line.startswith(f"noisycc: error: trial 0 ({algo}):") and word in line
         assert not out.exists()
 
+    @pytest.mark.parametrize("algo,flags,words", [
+        ("kcfc", ["--delta", "0.1", "--radius-scale", "inf"],
+         "trial 0 (kcfc): radius_scale must be positive and finite"),
+        ("kcfb", ["--budget", "60", "--noise", "gaussian", "--sigma", "inf"], "finite sigma"),
+        ("uniform-fb", ["--budget", "60", "--noise", "gaussian", "--sigma", "inf"],
+         "finite sigma"),
+        # Finite, but sigma * N(0, 1) overflows to an infinite reward.
+        ("kcfc", ["--delta", "0.1", "--noise", "gaussian", "--sigma", "1e308"],
+         "trial 0 (kcfc): gaussian noise with sigma=1e+308 drew a non-finite reward"),
+        ("kcfb", ["--budget", "60", "--noise", "gaussian", "--sigma", "1e308"],
+         "trial 0 (kcfb): gaussian noise with sigma=1e+308 drew a non-finite reward"),
+    ])
+    def test_non_finite_noise_or_radius(
+        self, algo, flags, words, noiseless_instance, tmp_path, capsys
+    ):
+        out = tmp_path / "res.csv"
+        line = self.usage_error(
+            ["run", "--algo", algo, "--instance", str(noiseless_instance),
+             "--epsilon", "1.0", *flags, "--mc-replays", "5", "--out", str(out)], capsys)
+        assert line.startswith("noisycc: error:") and words in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("algo,flags", [
+        ("kcfb", ["--budget", "60"]),
+        ("uniform-fb", ["--budget", "60"]),
+        ("kcfc", ["--delta", "0.1"]),
+    ])
+    def test_epsilon_not_positive_and_finite(
+        self, algo, flags, epsilon, noiseless_instance, tmp_path, capsys
+    ):
+        out = tmp_path / "res.csv"
+        line = self.usage_error(
+            ["run", "--algo", algo, "--instance", str(noiseless_instance),
+             f"--epsilon={epsilon}", *flags, "--mc-replays", "5", "--out", str(out)], capsys)
+        assert line == "noisycc: error: --epsilon must be positive and finite"
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one(self, workers, noiseless_instance, tmp_path, capsys):
         out = tmp_path / "res.csv"
@@ -303,3 +341,16 @@ class TestAnalyze:
         assert "Traceback" not in captured.err
         line = captured.err.strip().splitlines()[-1]
         assert line.startswith("noisycc: error:") and word in line
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1", "0"])
+    def test_bad_epsilon_usage_error(self, epsilon, tmp_path, capsys):
+        path = tmp_path / "three.json"
+        save_instance(THREE_ARM, path)
+        with pytest.raises(SystemExit) as exc:
+            run_main(["analyze", "--instance", str(path), f"--epsilon={epsilon}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines()[-1] == (
+            "noisycc: error: --epsilon must be positive and finite"
+        )

@@ -10,6 +10,7 @@ from noisycc import (
     NoiseModel,
     NoSamplesError,
     Oracle,
+    ParameterError,
 )
 
 
@@ -66,6 +67,18 @@ class TestGaussianRewards:
         with pytest.raises(ValueError):
             NoiseModel("gaussian", sigma=-1.0)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_sigma_must_be_finite(self, sigma):
+        with pytest.raises(ParameterError, match="finite sigma"):
+            NoiseModel("gaussian", sigma=sigma)
+
+    def test_overflowing_reward_rejected(self):
+        # sigma is finite, but sigma * N(0, 1) overflows for |N| > 1.8.
+        o = Oracle(one_pair_instance(0.5), NoiseModel("gaussian", sigma=1e308), seed=0)
+        with pytest.raises(ParameterError, match="non-finite reward for pair 0"):
+            o.pull_many(0, 64)
+        assert o.total_pulls == 0
+
 
 class TestStreams:
     @pytest.mark.parametrize("noise", [None, NoiseModel("gaussian", sigma=0.4)])
@@ -106,6 +119,46 @@ class TestStreams:
         first = rewards.copy()
         rewards[:] = 42.0
         assert np.array_equal(o.replay().pull_many(1, 30), first)
+
+class TestBlockReads:
+    @pytest.mark.parametrize("noise", [None, NoiseModel("gaussian", sigma=0.4)])
+    def test_peek_then_advance_equals_single_pulls(self, noise):
+        inst = Instance(3, [0.3, 0.6, 0.9])
+        a = Oracle(inst, noise, seed=5)
+        b = Oracle(inst, noise, seed=5)
+        singles = [a.pull(1) for _ in range(3)] + [a.pull(2)] + [a.pull(1) for _ in range(70)]
+        b.advance(1, 3)
+        b.advance(2, 1)
+        peeked = b.peek(1, 70)
+        assert b.peek(1, 70) == peeked  # peeking pulls nothing
+        assert b.total_pulls == 4
+        b.advance(1, 70)
+        assert peeked == singles[4:]
+        assert all(type(r) is float for r in peeked)
+        total, counts = b.pulls_report()
+        assert (total, counts.tolist()) == (74, [0, 73, 1])
+        # Sums are accumulated one reward at a time, as single pulls do.
+        assert b.empirical_mean(1) == a.empirical_mean(1)
+        assert b.empirical_mean(2) == a.empirical_mean(2)
+
+    def test_advance_respects_budget_atomically(self):
+        o = Oracle(one_pair_instance(0.5), seed=0, budget=10)
+        o.advance(0, 8)
+        with pytest.raises(BudgetExhaustedError, match="8 used, 3 requested"):
+            o.advance(0, 3)
+        assert o.pulls_report()[1].tolist() == [8]
+        o.advance(0, 2)
+        assert o.total_pulls == 10
+
+    def test_invalid_pair(self):
+        o = Oracle(one_pair_instance(0.5), seed=0)
+        with pytest.raises(InvalidPairError):
+            o.peek(1, 3)
+        with pytest.raises(InvalidPairError):
+            o.advance(-1, 3)
+        with pytest.raises(ValueError):
+            o.advance(0, -1)
+
 
 class TestAccounting:
     def test_empirical_mean_arithmetic(self):

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from tbhs_reference import reference_tbhs
 
+from noisycc import tbhs
 from noisycc import (
     BudgetExhaustedError,
     GeneratorSpec,
@@ -65,6 +69,13 @@ class TestConfig:
             TbhsConfig(0.1, 1.0)
         with pytest.raises(ParameterError):
             TbhsConfig(0.1, 0.1, radius_scale=0.0)
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan, -math.inf])
+    def test_radius_scale_must_be_finite(self, scale):
+        # An infinite radius never classifies an arm, so the bandit would
+        # never stop.
+        with pytest.raises(ParameterError, match="radius_scale"):
+            TbhsConfig(0.1, 0.1, radius_scale=scale)
 
 
 class TestRunTbhs:
@@ -135,6 +146,84 @@ class TestRunTbhs:
         assert scaled.pulls_used > base.pulls_used
 
 
+def tbhs_outcome(run, inst, noise, seed, budget, arms, config, max_pulls):
+    """Everything a caller can see of one bandit call: its output or its
+    exception, and the oracle's counters and per-arm means afterwards."""
+    oracle = Oracle(inst, noise, seed=seed, budget=budget)
+    try:
+        result = run(oracle, arms, config, max_pulls)
+    except (BudgetExhaustedError, RuntimeError) as exc:
+        result = (type(exc), str(exc))
+    total, counts = oracle.pulls_report()
+    means = {e: oracle.empirical_mean(e) for e in np.flatnonzero(counts).tolist()}
+    return result, total, counts.tolist(), means
+
+
+@st.composite
+def bandit_cases(draw):
+    n = draw(st.integers(2, 6))
+    m = num_pairs(n)
+    sims = draw(st.one_of(
+        st.just([0.5] * m),
+        st.lists(st.integers(0, 8).map(lambda k: k / 8), min_size=m, max_size=m),
+        st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m),
+    ))
+    gaussian = draw(st.booleans())
+    noise = NoiseModel("gaussian", draw(st.sampled_from([0.1, 0.3, 1.0]))) if gaussian else None
+    # The bandit needs about radius^-2 pulls per arm near 0.5, so keep the
+    # slack (and for Gaussian rewards the radius scale) away from extremes.
+    near_half = gaussian or any(abs(s - 0.5) < 0.1 for s in sims)
+    epsilon = draw(st.floats(0.05 if near_half else 0.01, 0.3))
+    scale = draw(st.sampled_from([0.5, 1.0])) if gaussian else 1.0
+    config = TbhsConfig(epsilon, draw(st.sampled_from([0.01, 0.1, 0.5])), scale)
+    arms = draw(st.one_of(
+        st.just(range(m)),
+        st.lists(st.integers(0, m - 1), min_size=1, max_size=m),
+    ))
+    budget = draw(st.none() | st.integers(0, 500))
+    max_pulls = draw(st.none() | st.integers(0, 500))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return Instance(n, sims), noise, seed, budget, arms, config, max_pulls
+
+
+class TestMatchesRoundAtATime:
+    """The run-length loop against ``tests/tbhs_reference.py``, which pulls
+    and selects one round at a time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bandit_cases())
+    def test_random_cases(self, case):
+        assert tbhs_outcome(run_tbhs, *case) == tbhs_outcome(reference_tbhs, *case)
+
+    @pytest.mark.parametrize("arms,sims,budget,max_pulls", [
+        ([0], [0.5], None, None),  # one arm: e_g == e_b every round
+        (range(6), [0.5] * 6, None, None),  # constant ties
+        (range(6), [1.0] * 6, None, None),  # arm 0 holds both minima
+        (range(6), [0.5] * 6, 301, None),
+        (range(6), [0.5] * 6, None, 301),
+        ([0], [0.5], 100, None),  # runs out on the second pull of a round
+    ])
+    def test_edge_cases(self, arms, sims, budget, max_pulls):
+        inst = Instance(4, sims + [0.5] * (6 - len(sims)))
+        for seed in range(5):
+            case = (inst, None, seed, budget, arms, TbhsConfig(0.05, 0.1), max_pulls)
+            assert tbhs_outcome(run_tbhs, *case) == tbhs_outcome(reference_tbhs, *case)
+
+    def test_beyond_the_radius_memo(self):
+        # Tens of thousands of pulls of one arm: radii past the memoised
+        # counts come from radius() directly, and the memo stays bounded.
+        case = (Instance(2, [0.5]), None, 1, None, [0], TbhsConfig(0.02, 0.1), None)
+        new = tbhs_outcome(run_tbhs, *case)
+        assert new == tbhs_outcome(reference_tbhs, *case)
+        assert new[1] > 2 * tbhs._MEMO_COUNTS
+        assert max(len(t) for t in tbhs._radii.values()) <= tbhs._MEMO_COUNTS + 1
+
+    def test_memo_keeps_few_keys(self):
+        inst = Instance(2, [0.9])
+        for i in range(tbhs._MEMO_KEYS + 5):
+            run_tbhs(Oracle(inst, seed=i), [0], TbhsConfig(0.1, 0.1 / (i + 1)))
+        assert len(tbhs._radii) <= tbhs._MEMO_KEYS
+
 
 class TestPinnedOutputs:
     """Pinned (pulls_used, rounds, good) of ``run_tbhs``: any change to arm
@@ -171,6 +260,23 @@ class TestPinnedOutputs:
         inst = Instance(4, [0.9, 0.8, 0.2, 0.1, 0.7, 0.3])
         out = run_tbhs(Oracle(inst, seed=3), {1, 4, 5}, TbhsConfig(0.1, 0.1))
         assert self.summary(out) == (201, 99, [1, 4])
+
+    @pytest.mark.parametrize("budget,counts", [
+        (400, [2, 197, 2, 197, 1, 1]),  # runs out on e_g's pull
+        (401, [2, 198, 2, 197, 1, 1]),  # e_g pulled, runs out on e_b's pull
+    ])
+    def test_budget_stop(self, budget, counts):
+        # Arms 1 and 3 hold (e_g, e_b) for many rounds in a row when the
+        # budget runs out.
+        inst = Instance(4, [0.55, 0.6, 0.45, 0.5, 0.4, 0.52])
+        oracle = Oracle(inst, seed=5, budget=budget)
+        with pytest.raises(BudgetExhaustedError) as exc:
+            run_tbhs(oracle, range(6), TbhsConfig(0.05, 0.1))
+        assert str(exc.value) == f"budget {budget} exhausted: {budget} used, 1 requested"
+        total, per_pair = oracle.pulls_report()
+        assert total == oracle.total_pulls == budget
+        assert per_pair.tolist() == counts
+
 
 class TestContainment:
     def test_all_high_in_good(self):
