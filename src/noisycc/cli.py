@@ -203,6 +203,8 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--mc-replays must be >= 1")
     if args.workers < 1:
         parser.error("--workers must be >= 1")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
     algo = args.algo
     if algo in ("kcfc", "kcfc-seq", "uniform-fc") and args.delta is None:
         parser.error(f"{algo} requires --delta")

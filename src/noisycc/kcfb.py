@@ -72,7 +72,8 @@ def run_kcfb(
         assert tau * math.comb(v_r, 2) <= budget - used
         schedule.append(tau)
         arms = incident_pairs(p, others, n).tolist()
-        join = np.array([oracle.pull_many(e, tau).mean() > 0.5 for e in arms], dtype=bool)
+        # The last survivor has no pair to pull (and tau is 0 when n = 1).
+        join = oracle.pull_means(arms, tau) > 0.5 if arms else np.zeros(0, dtype=bool)
         used += tau * len(arms)
         tau = next_tau(tau, v_r, v_r - 1 - int(join.sum()))
         return join

@@ -77,13 +77,6 @@ def uniform_fb_error_bound(alpha: float, m: int, pulls_per_pair: int, epsilon: f
     return min(1.0, 2.0 * m * math.exp(exponent))
 
 
-def _estimated_sims(oracle: Oracle, per_pair: int) -> np.ndarray:
-    shat = np.empty(oracle.instance.m)
-    for e in range(oracle.instance.m):
-        shat[e] = oracle.pull_many(e, per_pair).mean()
-    return shat
-
-
 def _check_solver_fits(solver: OfflineSolver, n: int) -> None:
     if solver.kind == "exact" and n > EXACT_MAX_N:
         raise InstanceTooLargeError(
@@ -121,6 +114,6 @@ def run_uniform_fb(
     if n == 1:
         return FbReport(np.zeros(1, dtype=np.int64), budget, 0, 1, [0])
     per_pair = budget // m
-    shat = _estimated_sims(oracle, per_pair)
+    shat = oracle.pull_means(range(m), per_pair)
     labels = solver.solve(shat, n, rng)
     return FbReport(labels, budget, m * per_pair, 1, [per_pair])

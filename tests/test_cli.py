@@ -238,6 +238,16 @@ class TestBadRunInputs:
         assert line == "noisycc: error: --epsilon must be positive and finite"
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", "-18446744073709551616"])
+    def test_negative_seed(self, seed, noiseless_instance, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        line = self.usage_error(
+            ["run", "--algo", "kcfb", "--instance", str(noiseless_instance),
+             "--epsilon", "0.5", "--budget", "60", f"--seed={seed}", "--out", str(out)],
+            capsys)
+        assert line == "noisycc: error: --seed must be >= 0"
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one(self, workers, noiseless_instance, tmp_path, capsys):
         out = tmp_path / "res.csv"

@@ -12,6 +12,7 @@ from noisycc import (
     Oracle,
     ParameterError,
 )
+from noisycc.oracle import _SeedWords
 
 
 def one_pair_instance(s):
@@ -141,6 +142,14 @@ class TestBlockReads:
         assert b.empirical_mean(1) == a.empirical_mean(1)
         assert b.empirical_mean(2) == a.empirical_mean(2)
 
+    @pytest.mark.parametrize("noise", [None, NoiseModel("gaussian", sigma=0.4)])
+    def test_empty_reads_of_an_unread_pair(self, noise):
+        o = Oracle(Instance(3, [0.3, 0.6, 0.9]), noise, seed=5)
+        assert o.peek(2, 0) == []
+        o.advance(2, 0)
+        assert o.pulls_report()[1].tolist() == [0, 0, 0]
+        assert o.peek(2, 3) == Oracle(Instance(3, [0.3, 0.6, 0.9]), noise, seed=5).peek(2, 3)
+
     def test_advance_respects_budget_atomically(self):
         o = Oracle(one_pair_instance(0.5), seed=0, budget=10)
         o.advance(0, 8)
@@ -225,3 +234,131 @@ class TestBudget:
         assert o.total_pulls == 8
         o.pull_many(0, 2)
         assert o.total_pulls == 10
+
+
+# Seeds across SeedSequence's word splits (one word, two words, the 64-bit
+# limit, more words than its 4-word pool) and fixed random 64-bit seeds.
+STREAM_SEEDS = [0, 1, 2**32, 2**64 - 1, 2**130 + 7,
+                0x9E3779B97F4A7C15, 0x243F6A8885A308D3, 0xB7E151628AED2A6A]
+STREAM_SIMS = [0.3, 0.5, 0.7, 0.1, 0.9, 0.45, 0.55, 0.2, 0.8, 0.6]  # n = 5, m = 10
+
+
+def reference_stream(seed, e):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(e,)))
+
+
+class TestStreamContract:
+    """Pair e's rewards are the PCG64 stream of SeedSequence(seed, spawn_key=(e,))."""
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("e", [0, len(STREAM_SIMS) - 1])
+    def test_bernoulli(self, seed, e):
+        o = Oracle(Instance(5, STREAM_SIMS), seed=seed)
+        expected = reference_stream(seed, e).random(1000) < STREAM_SIMS[e]
+        assert np.array_equal(o.pull_many(e, 1000), expected.astype(np.float64))
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("e", [0, len(STREAM_SIMS) - 1])
+    def test_gaussian(self, seed, e):
+        o = Oracle(Instance(5, STREAM_SIMS), NoiseModel("gaussian", sigma=0.4), seed=seed)
+        expected = STREAM_SIMS[e] + 0.4 * reference_stream(seed, e).standard_normal(1000)
+        assert np.array_equal(o.pull_many(e, 1000), expected)
+
+    @pytest.mark.parametrize("noise", [None, NoiseModel("gaussian", sigma=0.4)])
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+    def test_chunked_reads_equal_one_read(self, noise, chunk):
+        inst = Instance(5, STREAM_SIMS)
+        whole = Oracle(inst, noise, seed=2**64 - 1).pull_many(3, 3000)
+        o = Oracle(inst, noise, seed=2**64 - 1)
+        parts = [o.pull_many(3, min(chunk, 3000 - j)) for j in range(0, 3000, chunk)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_seed_words_equal_seed_sequence_state(self, seed):
+        words = _SeedWords(seed)
+        for e in [0, 1, 9, 7139, 2**31, 2**32 + 5]:
+            expected = np.random.SeedSequence(entropy=seed, spawn_key=(e,)).generate_state(
+                4, np.uint64
+            )
+            got = words(e)
+            assert got.dtype == np.uint64 and np.array_equal(got, expected)
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, "3", None, True])
+    def test_rejects_seed_that_is_not_a_non_negative_int(self, seed):
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            Oracle(one_pair_instance(0.5), seed=seed)
+
+    def test_numpy_integer_seed_is_the_same_seed(self):
+        inst = one_pair_instance(0.5)
+        a = Oracle(inst, seed=np.uint64(2**63 + 1)).pull_many(0, 100)
+        assert np.array_equal(a, Oracle(inst, seed=2**63 + 1).pull_many(0, 100))
+
+
+NOISES = [None, NoiseModel("gaussian", sigma=0.4)]
+
+
+def offset_oracle(noise, budget=None):
+    """An oracle whose arms 1, 2 and 4 have 3, 13 and 8 pulls already."""
+    o = Oracle(Instance(5, STREAM_SIMS), noise, seed=77, budget=budget)
+    o.pull_many(1, 3)
+    o.pull_many(2, 13)
+    o.pull_many(4, 8)
+    return o
+
+
+class TestPullMeans:
+    @pytest.mark.parametrize("noise", NOISES)
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 4097])
+    def test_equals_pull_many_means(self, noise, k):
+        arms = [2, 0, 1, 9, 4, 2]  # arm 2 twice: the second read follows the first
+        a = offset_oracle(noise)
+        b = offset_oracle(noise)
+        means = a.pull_means(arms, k)
+        expected = [b.pull_many(e, k).mean() for e in arms]
+        assert means.dtype == np.float64
+        assert means.tolist() == expected  # bit for bit
+        total_a, counts_a = a.pulls_report()
+        total_b, counts_b = b.pulls_report()
+        assert total_a == total_b and np.array_equal(counts_a, counts_b)
+        for e in set(arms):
+            assert a.empirical_mean(e) == b.empirical_mean(e)
+
+    @pytest.mark.parametrize("noise", NOISES)
+    def test_replay_returns_same_means(self, noise):
+        o = Oracle(Instance(5, STREAM_SIMS), noise, seed=5)
+        first = o.pull_means(range(10), 300)
+        again = o.replay().pull_means(range(10), 300)
+        assert np.array_equal(first, again)
+
+    def test_budget_error_leaves_counters_untouched(self):
+        o = offset_oracle(None, budget=100)
+        before = o.pulls_report()
+        with pytest.raises(BudgetExhaustedError, match="24 used, 80 requested"):
+            o.pull_means([0, 3, 5, 6], 20)
+        after = o.pulls_report()
+        assert before[0] == after[0] == 24 and np.array_equal(before[1], after[1])
+        assert o.pull_means([0, 3, 5, 6], 19).shape == (4,)
+        assert o.total_pulls == 100
+
+    @pytest.mark.parametrize("arms", [[0, 3, 10], [-1, 0], [4, 2, 99]])
+    def test_invalid_pair_leaves_counters_untouched(self, arms):
+        o = offset_oracle(None)
+        before = o.pulls_report()
+        with pytest.raises(InvalidPairError, match="out of range"):
+            o.pull_means(arms, 5)
+        after = o.pulls_report()
+        assert before[0] == after[0] and np.array_equal(before[1], after[1])
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one(self, k):
+        o = offset_oracle(None)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            o.pull_means([0, 1], k)
+        assert o.total_pulls == 24
+
+    def test_no_arms(self):
+        o = offset_oracle(None)
+        assert o.pull_means([], 5).shape == (0,)
+        assert o.total_pulls == 24
