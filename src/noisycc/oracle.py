@@ -7,10 +7,11 @@ stream of ``SeedSequence(entropy=seed, spawn_key=(e,))``, so the pull order
 across pairs never changes any pair's reward sequence.
 
 Rewards are memoized on a shared tape (Bernoulli rewards bit-packed,
-Gaussian rewards as floats), which makes ``replay()`` cheap: a replayed
-oracle re-observes the identical reward sequence per pair while keeping its
-own counters, so conditional expectations over the algorithm's internal
-randomness can be estimated with the noise realization held fixed.
+Gaussian rewards as floats), the one record of them: an oracle keeps only
+pull counts.  So ``replay()`` is cheap: a replayed oracle re-observes the
+identical reward sequence per pair while keeping its own counters, so
+conditional expectations over the algorithm's internal randomness can be
+estimated with the noise realization held fixed.
 """
 
 from __future__ import annotations
@@ -136,6 +137,10 @@ class _StateWords(ISeedSequence):
 _BIT_FLOATS = np.array([0.0, 1.0], dtype=object)[
     np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
 ]
+# A Bernoulli growth longer than this is drawn in pieces of this many
+# rewards (whole bytes), so its float scratch stays at 512 KiB; shorter
+# growths, nearly all of them, skip the piece loop's per-growth cost.
+_PIECE = 1 << 16
 
 
 class _Tape:
@@ -147,8 +152,8 @@ class _Tape:
     the words of ``SeedSequence(entropy=seed, spawn_key=(e,))`` from
     ``_SeedWords``, built when the pair is first read.  A tape grows at
     least by doubling.  numpy's ``random`` and ``standard_normal`` streams do
-    not depend on how the draws are split, so neither the growth rule nor the
-    byte rounding changes any reward.
+    not depend on how the draws are split, so neither the growth rule, the
+    byte rounding nor the pieces of ``_PIECE`` draws change any reward.
     """
 
     def __init__(self, seed: int, sims: np.ndarray, noise: NoiseModel) -> None:
@@ -200,7 +205,13 @@ class _Tape:
         s = self.sims[e]
         if self.packed:
             grow = -(-grow // 8) * 8
-            fresh = np.packbits(rng.random(grow) < s)
+            if grow <= _PIECE:
+                fresh = np.packbits(rng.random(grow) < s)
+            else:
+                fresh = np.concatenate([
+                    np.packbits(rng.random(min(_PIECE, grow - j)) < s)
+                    for j in range(0, grow, _PIECE)
+                ])
         else:
             with np.errstate(over="ignore"):
                 fresh = s + self.noise.sigma * rng.standard_normal(grow)
@@ -217,6 +228,7 @@ class _Tape:
 class Oracle:
     """Stateful noisy similarity oracle over one instance.
 
+    It keeps only pull counts and reads every reward statistic from the tape.
     Mutable counters make a single Oracle single-threaded; independent
     trials should each construct their own.
     """
@@ -237,7 +249,6 @@ class Oracle:
         self.budget = budget
         self._m = m = instance.m
         self._counts = np.zeros(m, dtype=np.int64)
-        self._sums = np.zeros(m, dtype=np.float64)
         self._total = 0
         self._tape = _tape if _tape is not None else _Tape(seed, instance.sims, self.noise)
 
@@ -245,12 +256,14 @@ class Oracle:
     def total_pulls(self) -> int:
         return self._total
 
-    def replay(self, budget: int | None = None) -> "Oracle":
+    def replay(self) -> "Oracle":
         """Fresh counters over the same instance, noise and reward tape."""
-        return Oracle(self.instance, self.noise, self.seed, budget, _tape=self._tape)
+        return Oracle(self.instance, self.noise, self.seed, _tape=self._tape)
 
-    def _check(self, arms: Sequence[int], k: int) -> None:
-        """Every arm is a pair index, and k pulls of each fit the budget."""
+    def _check(self, arms: Sequence[int], k: int, least: int = 0) -> None:
+        """k >= least, every arm is a pair index, and k pulls of each fit the budget."""
+        if k < least:
+            raise ValueError(f"k must be >= {least}")
         for e in arms:
             if not (0 <= e < self._m):
                 raise InvalidPairError(f"pair index {e} out of range (m={self._m})")
@@ -260,14 +273,17 @@ class Oracle:
                 f"budget {self.budget} exhausted: {self._total} used, {requested} requested"
             )
 
+    def _tally(self, e: int, i: int, k: int) -> None:
+        """Count k more pulls of pair e, which had i."""
+        self._counts[e] = i + k
+        self._total += k
+
     def pull(self, e: int) -> float:
         """One noisy sample of pair e's similarity."""
         self._check((e,), 1)
         i = self._counts.item(e)
         reward = float(self._tape.read(e, i, 1)[0])
-        self._counts[e] = i + 1
-        self._sums[e] += reward
-        self._total += 1
+        self._tally(e, i, 1)
         return reward
 
     def pull_many(self, e: int, k: int) -> np.ndarray:
@@ -275,16 +291,12 @@ class Oracle:
 
         Raises before mutating anything if the budget cannot cover all k.
         """
-        if k < 0:
-            raise ValueError("k must be >= 0")
         self._check((e,), k)
         if k == 0:
             return np.empty(0)
         i = self._counts.item(e)
         rewards = self._tape.read(e, i, k).astype(np.float64)
-        self._counts[e] = i + k
-        self._sums[e] += rewards.sum()
-        self._total += k
+        self._tally(e, i, k)
         return rewards
 
     def pull_means(self, arms: Iterable[int], k: int) -> np.ndarray:
@@ -294,55 +306,36 @@ class Oracle:
         Raises before mutating anything if an arm is not a pair index or the
         budget cannot cover all ``k * len(arms)`` pulls.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
         arms = list(arms)
-        self._check(arms, k)
-        counts, sums, tape = self._counts, self._sums, self._tape
+        self._check(arms, k, least=1)
         means = np.empty(len(arms))
         for j, e in enumerate(arms):
-            i = counts.item(e)
-            total = tape.total(e, i, k)
-            counts[e] = i + k
-            sums[e] += total
-            self._total += k
-            means[j] = total / k
+            i = self._counts.item(e)
+            means[j] = self._tape.total(e, i, k) / k
+            self._tally(e, i, k)
         return means
 
     def peek(self, e: int, k: int) -> list[float]:
         """The next k rewards of pair e as floats, without pulling them."""
-        if not (0 <= e < self._m):
-            raise InvalidPairError(f"pair index {e} out of range (m={self._m})")
+        self._check((e,), 0)
         return self._tape.read_floats(e, self._counts.item(e), k)
 
     def advance(self, e: int, k: int) -> None:
-        """Count pair e's next k rewards as pulled, exactly as k calls of
-        ``pull`` would: the sum is accumulated one reward at a time.
+        """Count pair e's next k rewards as pulled, as k calls of ``pull``
+        would, without reading them: the counts are all an oracle keeps.
 
         Raises before mutating anything if the budget cannot cover all k.
         """
-        if k < 0:
-            raise ValueError("k must be >= 0")
         self._check((e,), k)
-        i = self._counts.item(e)
-        total = float(self._sums[e])
-        if self._tape.packed:
-            # Rewards are 0 or 1 and the sum a whole number, so adding them
-            # one at a time adds their count exactly.
-            total += self._tape.total(e, i, k)
-        else:
-            for reward in self._tape.read(e, i, k).tolist():
-                total += reward
-        self._counts[e] = i + k
-        self._sums[e] = total
-        self._total += k
+        self._tally(e, self._counts.item(e), k)
 
     def empirical_mean(self, e: int) -> float:
-        if not (0 <= e < self._m):
-            raise InvalidPairError(f"pair index {e} out of range (m={self._m})")
-        if self._counts[e] == 0:
+        """The mean of pair e's rewards pulled so far, summed from the tape."""
+        self._check((e,), 0)
+        count = self._counts.item(e)
+        if count == 0:
             raise NoSamplesError(f"pair {e} has never been pulled")
-        return float(self._sums[e] / self._counts[e])
+        return self._tape.total(e, 0, count) / count
 
     def pulls_report(self) -> tuple[int, np.ndarray]:
         """(total pulls, per-pair pull counts) as a consistent snapshot."""

@@ -136,8 +136,8 @@ def run_tbhs(
 
     Rounds with an unchanged (e_g, e_b) are evaluated as one run, as the
     module docstring describes; the output, the rounds and every oracle
-    counter (pulls, sums, the pull at which the budget runs out) equal those
-    of pulling one round at a time.
+    counter (pulls, the pull at which the budget runs out) equal those of
+    pulling one round at a time.
     """
     arm_list = sorted(set(arms))
     m = len(arm_list)

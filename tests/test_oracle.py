@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from noisycc import (
     Oracle,
     ParameterError,
 )
-from noisycc.oracle import _SeedWords
+from noisycc.oracle import _PIECE, _SeedWords
 
 
 def one_pair_instance(s):
@@ -138,7 +139,7 @@ class TestBlockReads:
         assert all(type(r) is float for r in peeked)
         total, counts = b.pulls_report()
         assert (total, counts.tolist()) == (74, [0, 73, 1])
-        # Sums are accumulated one reward at a time, as single pulls do.
+        # Both means are summed from the same rewards on the tape.
         assert b.empirical_mean(1) == a.empirical_mean(1)
         assert b.empirical_mean(2) == a.empirical_mean(2)
 
@@ -273,6 +274,23 @@ class TestStreamContract:
         parts = [o.pull_many(3, min(chunk, 3000 - j)) for j in range(0, 3000, chunk)]
         assert np.array_equal(np.concatenate(parts), whole)
 
+    def test_growth_in_pieces_keeps_the_stream(self):
+        k = 3 * _PIECE + 40  # one growth drawn in four pieces, the last partial
+        o = Oracle(Instance(5, STREAM_SIMS), seed=2**64 - 1)
+        expected = reference_stream(2**64 - 1, 1).random(k) < STREAM_SIMS[1]
+        assert np.array_equal(o.pull_many(1, k), expected.astype(np.float64))
+
+    def test_long_growth_scratch_is_bounded(self):
+        # Drawing 10**7 rewards at once took 85.8 MB for a 1.19 MB tape.
+        o = Oracle(one_pair_instance(0.5), seed=0)
+        tracemalloc.start()
+        try:
+            o.pull_means([0], 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     def test_seed_words_equal_seed_sequence_state(self, seed):
         words = _SeedWords(seed)
@@ -362,3 +380,32 @@ class TestPullMeans:
         o = offset_oracle(None)
         assert o.pull_means([], 5).shape == (0,)
         assert o.total_pulls == 24
+
+
+class TestEmpiricalMean:
+    """``empirical_mean`` is summed from the tape, so it equals the mean that
+    a replay reads for the same pulls, whatever calls made them."""
+
+    @pytest.mark.parametrize("noise", NOISES)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equals_replayed_mean_after_mixed_history(self, noise, seed):
+        o = Oracle(Instance(5, STREAM_SIMS), noise, seed=seed)
+        for _ in range(37):
+            o.pull(1)
+        o.advance(1, 50)
+        o.pull_means([1, 3, 1], 9)
+        o.pull(3)
+        o.advance(3, 130)
+        o.pull_many(3, 4)
+        counts = o.pulls_report()[1]
+        assert counts[1] == 105 and counts[3] == 144
+        for e in (1, 3):
+            assert o.empirical_mean(e) == o.replay().pull_many(e, counts[e]).mean()
+
+    def test_advance_does_not_read_the_tape(self):
+        # sigma * N(0, 1) overflows for most draws, so any read of the pair raises.
+        o = Oracle(one_pair_instance(0.5), NoiseModel("gaussian", sigma=1e308), seed=0)
+        o.advance(0, 64)
+        assert o.pulls_report()[1].tolist() == [64]
+        with pytest.raises(ParameterError, match="non-finite reward for pair 0"):
+            o.empirical_mean(0)
