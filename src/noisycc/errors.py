@@ -35,3 +35,7 @@ class InstanceTooLargeError(NoisyccError, ValueError):
 
 class ParameterError(NoisyccError, ValueError):
     """An algorithm parameter (epsilon, delta, ...) is out of range."""
+
+
+class UnboundedRadiusError(ParameterError):
+    """A confidence radius overflowed to infinity: delta is too small."""

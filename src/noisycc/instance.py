@@ -30,10 +30,20 @@ def pair_index(u: int, v: int, n: int) -> int:
 
 
 def incident_pairs(p: int, others: np.ndarray, n: int) -> np.ndarray:
-    """Pair indices of (p, u) for every element u in ``others`` (none equal to p)."""
-    lo = np.minimum(p, others)
-    hi = np.maximum(p, others)
-    return lo * n - lo * (lo + 1) // 2 + (hi - lo - 1)
+    """Pair indices of (p, u) for every element u in ``others`` (none equal to p):
+    entries of row p of the cached ``_pair_table(n)``."""
+    return _pair_table(n)[p, others]
+
+
+@lru_cache(maxsize=None)
+def _pair_table(n: int) -> np.ndarray:
+    """Read-only n x n table whose (u, v) and (v, u) entries are the index of
+    pair (u, v); the diagonal holds -1."""
+    us, vs = pair_endpoints(n)
+    table = np.full((n, n), -1, dtype=np.int64)
+    table[us, vs] = table[vs, us] = np.arange(len(us))
+    table.setflags(write=False)
+    return table
 
 
 def pair_mask(pairs, m: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, UnboundedRadiusError
 from .instance import incident_pairs, num_pairs, pair_mask
 from .offline import kwikcluster, pivot_cluster
 from .oracle import Oracle
@@ -79,6 +79,9 @@ def run_kcfc_sequential(
     """Per-phase variant: threshold-bandit only the pivot's incident pairs."""
     _validate(epsilon, delta)
     n = oracle.instance.n
+    too_small = f"delta={delta} is too small for n={n}: the bandit runs at delta / n"
+    if not delta / n > 0:
+        raise ParameterError(f"{too_small}, which underflows to 0")
     if rng is None:
         rng = np.random.default_rng()
     queries = 0
@@ -94,7 +97,10 @@ def run_kcfc_sequential(
             raise ParameterError(
                 f"epsilon={epsilon} too large for a phase with {len(arms)} incident pairs"
             )
-        out = run_tbhs(oracle, arms, TbhsConfig(eps_r, delta / n, radius_scale))
+        try:
+            out = run_tbhs(oracle, arms, TbhsConfig(eps_r, delta / n, radius_scale))
+        except UnboundedRadiusError as exc:
+            raise ParameterError(f"{too_small} = {delta / n}, and {exc}") from None
         queries += out.pulls_used
         good_total += len(out.good)
         return np.array([e in out.good for e in arms], dtype=bool)

@@ -8,7 +8,8 @@ every remaining element whose similarity to the pivot strictly exceeds 0.5;
 its expected cost is within a factor 5 of the optimum.  The pivot loop
 itself (``pivot_cluster``) is shared with the noisy algorithms, which decide
 membership from oracle samples instead of known similarities.  The exact
-optimum is a subset DP that breaks ties as enumeration in RGS order would.
+optimum is a subset DP, run as one numpy min-plus subset convolution per
+element, that breaks ties as enumeration in RGS order would.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def pivot_cluster(
     while len(remaining):
         i = int(rng.integers(len(remaining)))
         p = int(remaining[i])
-        others = np.delete(remaining, i)
+        others = np.concatenate((remaining[:i], remaining[i + 1 :]))
         join = np.asarray(decide(p, others), dtype=bool)
         labels[p] = cid
         labels[others[join]] = cid
@@ -114,19 +115,42 @@ class OptResult:
     witness: np.ndarray
 
 
-def min_cost_partition(sims: np.ndarray, n: int) -> OptResult:
-    """Exact minimum of the disagreement cost over all set partitions.
+def _subset_min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``out[R] = min over T ⊆ R of a[T] + b[R ∖ T]`` for arrays of length 2^d
+    indexed by bitmask.
 
-    The cost is sum(s) plus, per cluster C, w(C) = sum over pairs in C of
-    (1 - 2s), so a DP over subsets finds the optimum in O(3^n):
-    f[S] = min over C in S holding S's lowest element of w[C] + f[S - C].
-    Every partition whose DP value lies within a rounding tolerance of f[full]
-    is then scored with ``pairwise_cost``, and the smallest (value, labels)
-    wins: the first strict minimum in the lexicographic (RGS) order of
-    restricted growth strings.  If every partition ties, all Bell(n) are scored.
+    Each split on the top bit turns every sub-problem into three: neither T
+    nor R ∖ T holds the bit, T holds it, or R ∖ T holds it.  After d splits
+    the 3^d leaves are single sums ``a[T] + b[R ∖ T]``, folded back with
+    ``np.minimum``; a minimum is exact, so the order of the candidates does
+    not matter.  Row r, column j holds subset r of sub-problem j, so the
+    large late splits and early folds copy long contiguous runs.
     """
-    if n > EXACT_MAX_N:
-        raise InstanceTooLargeError(f"exact OPT supports n <= {EXACT_MAX_N}, got n={n}")
+    d = len(a).bit_length() - 1
+    a, b = a.reshape(-1, 1), b.reshape(-1, 1)
+    for _ in range(d - 1):
+        half = len(a) // 2
+        a = np.concatenate((a[:half], a[half:], a[:half]), axis=1)
+        b = np.concatenate((b[:half], b[:half], b[half:]), axis=1)
+    # The last split, its leaves and their fold at once (for d = 0, a + b).
+    out = np.concatenate((a[:1] + b[:1], np.minimum(a[1:] + b[:1], a[:1] + b[1:])))
+    for _ in range(d - 1):
+        p = out.shape[1] // 3
+        out = np.concatenate((out[:, :p], np.minimum(out[:, p : 2 * p], out[:, 2 * p :])))
+    return out.ravel()
+
+
+def _subset_dp(sims: np.ndarray, n: int) -> tuple[array, np.ndarray]:
+    """The cluster weights w and the DP table f over all subsets of range(n).
+
+    w[C] = sum over pairs in C of (1 - 2s), and f[S] = min over C ⊆ S holding
+    S's lowest element of w[C] + f[S ∖ C].  The sets whose lowest element is
+    i are solved at once, for i = n - 1, ..., 0, by one ``_subset_min_plus``
+    over the elements above i; each candidate is the same float sum a
+    scalar loop over C would form, so f equals that loop's table bit for bit.
+    (No -0.0 arises to make ties order-dependent: a sum is -0.0 only if both
+    terms are, and every 1 - 2s is +0.0 or nonzero.)
+    """
     us, vs = pair_endpoints(n)
     a = np.zeros((n, n))
     a[us, vs] = 1.0 - 2.0 * np.asarray(sims, dtype=np.float64)
@@ -140,19 +164,32 @@ def min_cost_partition(sims: np.ndarray, n: int) -> OptResult:
     # Flat double arrays rather than lists of float objects: a process that
     # solves hundreds of instances then keeps about 1 MB less resident.
     w = array("d", w)
-    f = array("d", [0.0]) * (1 << n)
-    for S in range(1, 1 << n):
-        low = S & -S
-        rest = sub = S ^ low
-        best = w[low] + f[rest]
-        while sub:
-            value = w[low | sub] + f[rest ^ sub]
-            if value < best:
-                best = value
-            sub = (sub - 1) & rest
-        f[S] = best
+    weights = np.frombuffer(w)
+    f = np.zeros(1 << n)
+    for i in reversed(range(n)):
+        step = 2 << i
+        f[1 << i :: step] = _subset_min_plus(weights[1 << i :: step], f[::step])
+    return w, f
+
+
+def min_cost_partition(sims: np.ndarray, n: int) -> OptResult:
+    """Exact minimum of the disagreement cost over all set partitions.
+
+    The cost is sum(s) plus, per cluster C, w(C) = sum over pairs in C of
+    (1 - 2s), so a DP over subsets (``_subset_dp``, a min-plus form of the
+    subset convolution of Björklund, Husfeldt and Koivisto) finds the
+    optimum in O(3^n) additions, done as array operations.  Every partition
+    whose DP value lies within a rounding tolerance of f[full] is then scored
+    with ``pairwise_cost``, and the smallest (value, labels) wins: the first
+    strict minimum in the lexicographic (RGS) order of restricted growth
+    strings.  If every partition ties, all Bell(n) are scored.
+    """
+    if n > EXACT_MAX_N:
+        raise InstanceTooLargeError(f"exact OPT supports n <= {EXACT_MAX_N}, got n={n}")
+    w, f = _subset_dp(sims, n)
+    f = array("d", f.tobytes())
     # The DP and pairwise_cost round differently: rescore every near-tie.
-    tol = 1e-9 * (1.0 + len(us) + 2.0 * float(np.abs(sims).sum()))
+    tol = 1e-9 * (1.0 + num_pairs(n) + 2.0 * float(np.abs(sims).sum()))
     labels = [0] * n
     winner = (np.inf, labels)
 

@@ -41,7 +41,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import count
 
-from .errors import NoSamplesError, ParameterError
+from .errors import NoSamplesError, ParameterError, UnboundedRadiusError
 from .instance import Instance, pair_mask
 from .oracle import Oracle
 
@@ -244,7 +244,7 @@ def run_tbhs(
         # k too: an arm whose UCB is infinite can never be classified.
         for e, bound in ((g, ug), (b, ub)):
             if bound == math.inf:
-                raise ParameterError(
+                raise UnboundedRadiusError(
                     f"delta={delta} leaves the confidence bound of pair {e} infinite"
                     f" after {pulls[e]} pulls (radius_scale={scale}), so the bandit"
                     " could never classify it"

@@ -204,6 +204,20 @@ class TestBadRunInputs:
         assert line.startswith(f"noisycc: error: trial 0 ({algo}): delta")
         assert not out.exists()
 
+    @pytest.mark.parametrize("delta", ["1e-300", "5e-324"])
+    def test_sequential_delta_error_names_the_given_delta(self, delta, tmp_path, capsys):
+        # The bandit runs at delta / n, which the message must say, naming
+        # the --delta that was given, not the divided one.
+        path = tmp_path / "planted.json"
+        run_main(["gen", "--kind", "planted", "--n", "6", "--k", "2", "--seed", "1",
+                  "--out", str(path)])
+        line = self.usage_error(
+            ["run", "--algo", "kcfc-seq", "--instance", str(path), "--epsilon", "1.0",
+             "--delta", delta, "--mc-replays", "5", "--out", str(tmp_path / "res.csv")],
+            capsys)
+        assert line.startswith(f"noisycc: error: trial 0 (kcfc-seq): delta={float(delta)!r}"
+                               " is too small for n=6: the bandit runs at delta / n")
+
     def test_boolean_n(self, tmp_path, capsys):
         path = tmp_path / "bool.json"
         path.write_text(json.dumps({"n": True, "sims": []}))

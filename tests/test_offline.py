@@ -20,8 +20,15 @@ from noisycc import (
     pair_index,
 )
 from noisycc.instance import pair_mask
-from noisycc.offline import min_cost_partition, pairwise_cost, pivot_cluster
+from noisycc.offline import (
+    _subset_dp,
+    _subset_min_plus,
+    min_cost_partition,
+    pairwise_cost,
+    pivot_cluster,
+)
 from partitions import enumerated_opt, iter_partitions
+from subset_dp_reference import reference_subset_dp
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -275,6 +282,39 @@ class TestSubsetDp:
         result = brute_force_opt(inst)
         assert result.opt_value == pairwise_cost(inst.sims, result.witness)
         assert result.opt_value <= cost(inst, inst.ground_truth)
+
+
+class TestSubsetConvolution:
+    """The array DP against ``tests/subset_dp_reference.py``, bit for bit."""
+
+    @staticmethod
+    def assert_same_as_loop(sims, n):
+        w, f = _subset_dp(sims, n)
+        assert f.tobytes() == reference_subset_dp(w, n).tobytes()
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.25, 0.5, 0.75, 1.0], [0.1, 0.3, 0.5, 0.7, 0.9]])
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 10), data=st.data())
+    def test_tie_heavy_grid(self, grid, n, data):
+        values = st.sampled_from(grid)
+        sims = data.draw(st.lists(values, min_size=num_pairs(n), max_size=num_pairs(n)))
+        self.assert_same_as_loop(np.array(sims, dtype=np.float64), n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 10), data=st.data())
+    def test_uniform_floats(self, n, data):
+        floats = st.floats(0.0, 1.0)
+        sims = data.draw(st.lists(floats, min_size=num_pairs(n), max_size=num_pairs(n)))
+        self.assert_same_as_loop(np.array(sims, dtype=np.float64), n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(0, 6), data=st.data())
+    def test_min_plus_equals_brute_force(self, d, data):
+        values = st.lists(st.floats(-1e6, 1e6), min_size=1 << d, max_size=1 << d)
+        a = np.array(data.draw(values))
+        b = np.array(data.draw(values))
+        want = [min(a[t] + b[r ^ t] for t in range(1 << d) if t & r == t) for r in range(1 << d)]
+        assert _subset_min_plus(a, b).tolist() == want
 
 
 class TestFiveApproximation:

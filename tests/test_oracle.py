@@ -12,8 +12,9 @@ from noisycc import (
     NoSamplesError,
     Oracle,
     ParameterError,
+    num_pairs,
 )
-from noisycc.oracle import _PIECE, _seed_words
+from noisycc.oracle import _PIECE, _WORD_BLOCK, _seed_words
 
 
 def one_pair_instance(s):
@@ -303,6 +304,33 @@ class TestStreamContract:
             assert np.array_equal(got, expected)
         with pytest.raises(ValueError, match="below 2\\*\\*32"):
             _seed_words(seed, [2**32 + 5])
+
+
+class TestSeedWordBlocks:
+    """Seed words are derived for a block of pairs when one of them is first read."""
+
+    def test_fresh_oracle_does_not_derive_every_pair(self):
+        n = 2000
+        m = num_pairs(n)
+        inst = Instance(n, np.full(m, 0.5))
+        tracemalloc.start()
+        try:
+            Oracle(inst, seed=7).pull(m - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The pull counts alone take 16 MB; words for all m pairs took 61 MiB.
+        assert peak < 24 * 2**20
+
+    @pytest.mark.parametrize(
+        "e", [_WORD_BLOCK - 1, _WORD_BLOCK, 3 * _WORD_BLOCK + 5, num_pairs(200) - 1]
+    )
+    def test_pairs_past_the_first_block_keep_the_stream(self, e):
+        n, seed = 200, 2**64 - 1
+        sims = np.linspace(0.0, 1.0, num_pairs(n))
+        o = Oracle(Instance(n, sims), seed=seed)
+        expected = reference_stream(seed, e).random(100) < sims[e]
+        assert np.array_equal(o.pull_many(e, 100), expected.astype(np.float64))
 
 
 class TestSeedValidation:
