@@ -7,6 +7,11 @@ allocation starts at ``floor(T / m)``; when a phase removes pairs that were
 never queried, their pre-allocated pulls are redistributed evenly over the
 remaining pairs, rounding down.  The rounding keeps the total number of
 queries at or below ``T`` on every run.
+
+A phase asks the oracle only whether each arm's mean exceeds 0.5
+(``Oracle.pull_above``).  Every arm is charged its ``tau_r`` pulls, but the
+answer comes from a running count of the arm's ones where that settles it,
+so a replay reads and draws only as many rewards as decide the vote.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ def run_kcfb(
         schedule.append(tau)
         arms = incident_pairs(p, others, n)
         # The last survivor has no pair to pull (and tau is 0 when n = 1).
-        join = oracle.pull_means(arms, tau) > 0.5 if len(arms) else np.zeros(0, dtype=bool)
+        join = oracle.pull_above(arms, tau) if len(arms) else np.zeros(0, dtype=bool)
         used += tau * len(arms)
         tau = next_tau(tau, v_r, v_r - 1 - int(join.sum()))
         return join

@@ -14,6 +14,12 @@ pull counts.  So ``replay()`` is cheap: a replayed oracle re-observes the
 identical reward sequence per pair while keeping its own counters, so
 conditional expectations over the algorithm's internal randomness can be
 estimated with the noise realization held fixed.
+
+For each Bernoulli pair that ``pull_above`` reads, the tape also keeps the
+count of ones it holds.  That count bounds the ones among the pair's first
+k rewards without reading them, so ``pull_above`` decides most "mean above
+0.5" tests from it and draws new rewards only until the answer is settled;
+``pull_means`` reads real means.
 """
 
 from __future__ import annotations
@@ -125,6 +131,26 @@ _WORD_BLOCK = 4096
 # rewards (whole bytes), so its float scratch stays at 512 KiB; shorter
 # growths, nearly all of them, skip the piece loop's per-growth cost.
 _PIECE = 1 << 16
+# Bernoulli spans of more bytes than this are counted by unpacking them to
+# one byte per reward, ``_PIECE`` rewards at a time so that the scratch
+# stays at 64 KiB; shorter ones as one Python integer's set bits, which is
+# faster below about 8,192 rewards and slower above.
+_UNPACK_BYTES = 1 << 10
+# Below this k, a mean of k Bernoulli rewards exceeds 0.5 exactly when
+# ``2 * ones > k``: (2 * ones - k) / (2 * k) is then more than half an ulp of
+# 0.5, so ``ones / k`` cannot round down to 0.5.
+_EXACT_K = 1 << 52
+
+
+def _ones_in(packed: np.ndarray) -> int:
+    """The number of set bits in an array of packed bytes."""
+    if len(packed) > _UNPACK_BYTES:
+        step = _PIECE // 8
+        return sum(
+            int(np.count_nonzero(np.unpackbits(packed[j : j + step])))
+            for j in range(0, len(packed), step)
+        )
+    return int.from_bytes(packed.tobytes(), "little").bit_count()
 
 
 class _Tape:
@@ -132,8 +158,14 @@ class _Tape:
 
     A Bernoulli tape is bit-packed (``np.packbits``, the first reward in the
     high bit of byte 0) and grows by whole bytes; a Gaussian tape holds
-    float rewards; a Bernoulli sum counts the set bits of the covering bytes
-    as one Python integer.  Pair e's generator is ``Generator(PCG64(words))``,
+    float rewards; a Bernoulli sum counts the set bits of the covering bytes.
+    Once ``above`` has read a Bernoulli pair, its tape keeps the count ``o``
+    of ones among its ``h`` rewards, adding the ones of each growth.  The
+    ones among the first k rewards then lie in
+    ``[o - max(h - k, 0), min(o, k) + max(k - h, 0)]``, and ``above`` answers
+    ``2 * ones > k`` (the test ``ones / k > 0.5`` for k below ``_EXACT_K``)
+    from these bounds when they settle it, growing the tape only as far as
+    needed to settle it.  Pair e's generator is ``Generator(PCG64(words))``,
     built when the pair is first read, with the words of
     ``SeedSequence(entropy=seed, spawn_key=(e,))``.  ``_seed_words`` derives
     them for the ``_WORD_BLOCK`` pairs of e's block at once, the first time
@@ -151,6 +183,8 @@ class _Tape:
         self.packed = noise.kind == "bernoulli"
         self._word_blocks: dict[int, np.ndarray] = {}
         self._streams: dict[int, np.ndarray] = {}
+        # Ones on the tape of each pair that ``above`` has read.
+        self._ones: dict[int, int] = {}
         self._rngs: dict[int, np.random.Generator] = {}
 
     def read(self, e: int, i: int, k: int) -> np.ndarray:
@@ -173,23 +207,72 @@ class _Tape:
         rows = _BIT_FLOATS.take(self._cover(e, end)[lo : (end + 7) >> 3], axis=0)
         return rows.ravel()[i - 8 * lo : end - 8 * lo].tolist()
 
+    def reward(self, e: int, i: int) -> float:
+        """Reward i of pair e, read from its byte (Bernoulli)."""
+        buf = self._cover(e, i + 1)
+        if self.packed:
+            return float(buf.item(i >> 3) >> (7 - (i & 7)) & 1)
+        return buf.item(i)
+
     def total(self, e: int, i: int, k: int) -> float:
-        """Sum of rewards i, ..., i + k - 1 of pair e, equal to the float sum
-        of ``read(e, i, k)``: the number of set bits (Bernoulli), or the sum
-        of the tape's contiguous slice (Gaussian), as a copy of it sums."""
+        """Sum of rewards i, ..., i + k - 1 of pair e, equal to the sum of
+        ``read(e, i, k)``: the number of ones, as an int (Bernoulli), or the
+        float sum of the tape's contiguous slice (Gaussian), as a copy of it
+        sums."""
         if not self.packed:
             return float(self.read(e, i, k).sum())
         end = i + k
         lo, hi = i >> 3, (end + 7) >> 3
-        # A copy: reading through a memoryview of the tape raised the peak
-        # RSS of repeated n = 120 kcfb runs by about 0.5 MB.
-        covering = self._cover(e, end)[lo:hi].tobytes()
-        # Set bits of the covering bytes, less those of the rewards before i
-        # (high bits of the first byte) and from end on (low bits of the last).
-        ones = int.from_bytes(covering, "little").bit_count()
-        ones -= (covering[0] >> (8 - (i - 8 * lo))).bit_count()
-        ones -= (covering[-1] & (1 << (8 * hi - end)) - 1).bit_count()
-        return float(ones)
+        covering = self._cover(e, end)[lo:hi]
+        if hi - lo > _UNPACK_BYTES:
+            ones, first, last = _ones_in(covering), covering.item(0), covering.item(-1)
+        else:
+            # A copy: reading through a memoryview of the tape raised the peak
+            # RSS of repeated n = 120 kcfb runs by about 0.5 MB.
+            covering = covering.tobytes()
+            ones = int.from_bytes(covering, "little").bit_count()
+            first, last = covering[0], covering[-1]
+        # Less the set bits of the rewards before i (high bits of the first
+        # covering byte) and from end on (low bits of the last).
+        ones -= (first >> (8 - (i - 8 * lo))).bit_count()
+        ones -= (last & (1 << (8 * hi - end)) - 1).bit_count()
+        return ones
+
+    def above(self, e: int, i: int, k: int) -> bool:
+        """Whether ``total(e, i, k) / k > 0.5``, for k >= 1.
+
+        A Bernoulli pair read from reward 0 is decided from its ones count
+        where the bounds settle it.  Where they do not and the tape holds k
+        rewards, the first k are counted; where it holds fewer, it grows to
+        the length at which s(e) should settle them,
+        ``k / (2 * max(s, 1 - s))`` plus about four standard deviations of
+        the ones count, and on from there (by ``_cover``'s doubling) until
+        they settle or it holds k.
+        """
+        if i or not self.packed or k >= _EXACT_K:
+            return self.total(e, i, k) / k > 0.5
+        if e not in self._ones:  # _cover keeps the count from now on
+            buf = self._streams.get(e)
+            self._ones[e] = 0 if buf is None else _ones_in(buf)
+        while True:
+            buf = self._streams.get(e)
+            h = 0 if buf is None else len(buf) << 3
+            o = self._ones[e]
+            if h >= k:
+                # The first k rewards hold at least o - (h - k) ones, at most o.
+                if 2 * (o - h + k) > k:
+                    return True
+                if 2 * o <= k:
+                    return False
+                return 2 * self.total(e, 0, k) > k
+            # The first k rewards hold the o ones and at most k - h more.
+            if 2 * o > k:
+                return True
+            if 2 * (o + k - h) <= k:
+                return False
+            s = self.sims.item(e)
+            settle = math.ceil(k / (2 * max(s, 1 - s)) + 4 * math.sqrt(k))
+            self._cover(e, min(k, max(settle, h + 1)))
 
     def _cover(self, e: int, end: int) -> np.ndarray:
         """Pair e's tape, grown to hold at least ``end`` rewards."""
@@ -218,6 +301,9 @@ class _Tape:
                     np.packbits(rng.random(min(_PIECE, grow - j)) < s)
                     for j in range(0, grow, _PIECE)
                 ])
+            ones = self._ones.get(e)
+            if ones is not None:
+                self._ones[e] = ones + _ones_in(fresh)
         else:
             with np.errstate(over="ignore"):
                 fresh = s + self.noise.sigma * rng.standard_normal(grow)
@@ -288,7 +374,7 @@ class Oracle:
         """One noisy sample of pair e's similarity."""
         self._check((e,), 1)
         i = self._counts.item(e)
-        reward = float(self._tape.read(e, i, 1)[0])
+        reward = self._tape.reward(e, i)
         self._tally(e, i, 1)
         return reward
 
@@ -320,6 +406,20 @@ class Oracle:
             means[j] = self._tape.total(e, i, k) / k
             self._tally(e, i, k)
         return means
+
+    def pull_above(self, arms: Iterable[int], k: int) -> np.ndarray:
+        """Whether the mean of k pulls of each arm exceeds 0.5, in order:
+        ``pull_means(arms, k) > 0.5``, bit for bit, with the same counters
+        and errors, but reading only as many rewards as settle each answer.
+        """
+        arms = arms.tolist() if isinstance(arms, np.ndarray) else list(arms)
+        self._check(arms, k, least=1)
+        above = np.empty(len(arms), dtype=bool)
+        for j, e in enumerate(arms):
+            i = self._counts.item(e)
+            above[j] = self._tape.above(e, i, k)
+            self._tally(e, i, k)
+        return above
 
     def peek(self, e: int, k: int) -> list[float]:
         """The next k rewards of pair e as floats, without pulling them."""

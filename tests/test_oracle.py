@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisycc import (
     BudgetExhaustedError,
@@ -14,7 +16,7 @@ from noisycc import (
     ParameterError,
     num_pairs,
 )
-from noisycc.oracle import _PIECE, _WORD_BLOCK, _seed_words
+from noisycc.oracle import _PIECE, _UNPACK_BYTES, _WORD_BLOCK, _seed_words
 
 
 def one_pair_instance(s):
@@ -91,6 +93,14 @@ class TestStreams:
         b = Oracle(inst, noise, seed=5)
         singles = np.array([a.pull(1) for _ in range(40)])
         assert np.array_equal(singles, b.pull_many(1, 40))
+
+    @pytest.mark.parametrize("noise", [None, NoiseModel("gaussian", sigma=0.4)])
+    def test_single_pulls_across_tape_growths(self, noise):
+        # 200 single pulls grow the tape from 64 to 128 and then to 256 rewards.
+        a = Oracle(one_pair_instance(0.6), noise, seed=5)
+        b = Oracle(one_pair_instance(0.6), noise, seed=5)
+        singles = np.array([a.pull(0) for _ in range(200)])
+        assert np.array_equal(singles, b.pull_many(0, 200))
 
     def test_pull_order_across_pairs_is_irrelevant(self):
         inst = Instance(3, [0.3, 0.6, 0.9])
@@ -411,6 +421,160 @@ class TestPullMeans:
         o = offset_oracle(None)
         assert o.pull_means([], 5).shape == (0,)
         assert o.total_pulls == 24
+
+
+# Exactly at 0.5, just either side of it, at the edges, and anywhere.
+ABOVE_SIMS = st.sampled_from([0.0, 0.5, 1.0, 0.5 + 2**-53, 0.5 - 2**-53]) | st.floats(0.0, 1.0)
+ABOVE_KS = st.sampled_from([1, 2, 7, 8, 9, 64, 65, 10**5]) | st.integers(1, 10**5)
+ABOVE_READS = st.lists(
+    st.tuples(st.lists(st.integers(0, 9), max_size=5), ABOVE_KS), min_size=1, max_size=3
+)
+
+
+class TestPullAbove:
+    """``pull_above(arms, k)`` is ``pull_means(arms, k) > 0.5`` with the same
+    counters, however little of the tape it reads."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        noise=st.sampled_from(NOISES),
+        sims=st.lists(ABOVE_SIMS, min_size=10, max_size=10),
+        seed=st.integers(0, 2**64 - 1),
+        warm=ABOVE_READS,
+        replay=st.booleans(),
+        history=st.lists(st.tuples(st.integers(0, 9), st.integers(1, 300)), max_size=3),
+        reads=ABOVE_READS,
+    )
+    def test_equals_pull_means_above_half(self, noise, sims, seed, warm, replay, history, reads):
+        # Each twin first reads its own way (which grows the shared tapes
+        # differently), then maybe replays, pulls some arms, and reads again.
+        a = Oracle(Instance(5, sims), noise, seed=seed)
+        b = Oracle(Instance(5, sims), noise, seed=seed)
+        for arms, k in warm:
+            assert a.pull_above(arms, k).tolist() == (b.pull_means(arms, k) > 0.5).tolist()
+        if replay:
+            a, b = a.replay(), b.replay()
+        for e, count in history:
+            a.pull_many(e, count)
+            b.pull_many(e, count)
+        for arms, k in reads:
+            above = a.pull_above(arms, k)
+            assert above.dtype == bool
+            assert above.tolist() == (b.pull_means(arms, k) > 0.5).tolist()
+            total_a, counts_a = a.pulls_report()
+            total_b, counts_b = b.pulls_report()
+            assert total_a == total_b and np.array_equal(counts_a, counts_b)
+
+    def test_budget_error_mutates_nothing(self):
+        o = offset_oracle(None, budget=100)
+        drawn = {e: len(t) for e, t in o._tape._streams.items()}
+        with pytest.raises(BudgetExhaustedError, match="24 used, 80 requested"):
+            o.pull_above([0, 3, 5, 6], 20)
+        assert o.total_pulls == 24 and o.pulls_report()[1].sum() == 24
+        assert {e: len(t) for e, t in o._tape._streams.items()} == drawn
+        assert o.pull_above([0, 3, 5, 6], 19).shape == (4,)
+        assert o.total_pulls == 100
+
+    @pytest.mark.parametrize("arms", [[0, 3, 10], [-1, 0], [4, 2, 99]])
+    def test_invalid_pair_mutates_nothing(self, arms):
+        o = offset_oracle(None)
+        before = o.pulls_report()
+        drawn = {e: len(t) for e, t in o._tape._streams.items()}
+        with pytest.raises(InvalidPairError, match="out of range"):
+            o.pull_above(arms, 5)
+        after = o.pulls_report()
+        assert before[0] == after[0] and np.array_equal(before[1], after[1])
+        assert {e: len(t) for e, t in o._tape._streams.items()} == drawn
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one(self, k):
+        o = offset_oracle(None)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            o.pull_above([0, 1], k)
+        assert o.total_pulls == 24 and o.pulls_report()[1].sum() == 24
+
+    def test_no_arms(self):
+        o = offset_oracle(None)
+        assert o.pull_above([], 5).shape == (0,)
+        assert o.total_pulls == 24
+
+    @pytest.mark.parametrize("s", [0.5, 0.55])
+    def test_every_k_across_the_first_growths(self, s):
+        # Small k at s near 0.5 meets ties at every bound: the first growth
+        # leaves 64 rewards, the second 128.
+        for seed in range(24):
+            rewards = (reference_stream(seed, 0).random(140) < s).astype(np.float64)
+            for k in range(1, 140):
+                o = Oracle(one_pair_instance(s), seed=seed)
+                assert o.pull_above([0], k)[0] == (rewards[:k].mean() > 0.5), (seed, k)
+
+    def test_every_k_past_a_grown_tape(self):
+        # A tape of 64 rewards read with k > 64.  Seeds 46, 81 and 87 put
+        # exactly k / 2 ones on it and none on the next k - 64 rewards.
+        for seed in range(96):
+            rewards = (reference_stream(seed, 0).random(140) < 0.5).astype(np.float64)
+            for k in range(65, 140):
+                o = Oracle(one_pair_instance(0.5), seed=seed)
+                o.peek(0, 1)  # 64 rewards on the tape, none pulled
+                assert o.pull_above([0], k)[0] == (rewards[:k].mean() > 0.5), (seed, k)
+
+    def test_sample_far_from_its_mean_is_still_decided(self):
+        # 1,000 rewards drawn at s = 0.5 are read as if s were 0.9, which
+        # should have settled the vote at about 928 rewards: it is not
+        # settled there, so the tape must grow on.
+        twins = [Oracle(one_pair_instance(0.5), seed=4) for _ in range(2)]
+        for o in twins:
+            o.peek(0, 1000)
+            o._tape.sims = np.array([0.9])
+        a, b = twins
+        assert a.pull_above([0], 1400)[0] == (b.pull_means([0], 1400)[0] > 0.5)
+
+    @pytest.mark.parametrize("k", [1, 100, 3 * _PIECE + 40])
+    def test_ones_count_equals_the_tape(self, k):
+        # Tapes grown by other reads before and after pull_above looks at them.
+        o = Oracle(Instance(5, STREAM_SIMS), seed=3)
+        o.pull_many(1, k)
+        o.pull_above([5, 6], 2 * k)
+        o.pull_many(5, 4 * k)
+        o.replay().pull_above([1, 5], 3 * k)
+        tape = o._tape
+        assert sorted(tape._ones) == [1, 5, 6]
+        for e, ones in tape._ones.items():
+            assert ones == int(np.unpackbits(tape._streams[e]).sum())
+
+    def test_draws_only_what_settles_the_vote(self):
+        # At s = 0.9 about 555,556 rewards hold the 500,001 ones that settle
+        # a mean of 10**6 pulls; pull_means draws all 10**6.
+        o = Oracle(one_pair_instance(0.9), seed=0)
+        assert o.pull_above([0], 10**6).tolist() == [True]
+        assert o.total_pulls == 10**6
+        assert 8 * len(o._tape._streams[0]) < 6 * 10**5
+
+    def test_partial_growth_keeps_the_stream(self):
+        seed, e, k = 2**64 - 1, 4, 5000  # STREAM_SIMS[4] = 0.9
+        o = Oracle(Instance(5, STREAM_SIMS), seed=seed)
+        assert o.pull_above([e], k).tolist() == [True]
+        assert 8 * len(o._tape._streams[e]) < k
+        expected = reference_stream(seed, e).random(k) < STREAM_SIMS[e]
+        assert np.array_equal(o.replay().pull_many(e, k), expected.astype(np.float64))
+
+
+class TestTapeTotal:
+    """``_Tape.total`` counts ones however the span sits on the packed bytes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        s=st.floats(0.0, 1.0),
+        i=st.sampled_from([0, 1, 7, 8, 9]) | st.integers(0, 20_000),
+        k=st.integers(1, 20_000)
+        | st.integers(8 * _UNPACK_BYTES - 24, 8 * _UNPACK_BYTES + 24)  # the crossover
+        | st.integers(_PIECE - 24, _PIECE + 24)  # one or two unpacked pieces
+        | st.integers(2 * _PIECE - 24, 2 * _PIECE + 24),
+    )
+    def test_equals_sum_of_read(self, seed, s, i, k):
+        tape = Oracle(one_pair_instance(s), seed=seed)._tape
+        assert tape.total(0, i, k) == tape.read(0, i, k).sum()
 
 
 class TestEmpiricalMean:
