@@ -200,4 +200,10 @@ def load_instance(path: str | Path) -> Instance:
     n = obj["n"]
     if isinstance(n, bool) or not isinstance(n, int):
         raise InvalidSpecError("'n' must be an integer")
-    return Instance(n, np.asarray(obj["sims"], dtype=np.float64), obj.get("ground_truth"))
+    sims = obj["sims"]
+    if not isinstance(sims, list) or not {int, float}.issuperset(map(type, sims)):
+        raise InvalidSpecError("'sims' must be a list of numbers")
+    try:
+        return Instance(n, np.asarray(sims, dtype=np.float64), obj.get("ground_truth"))
+    except OverflowError:  # an integer beyond the float range
+        raise InvalidSpecError("similarities must be finite and lie in [0, 1]") from None

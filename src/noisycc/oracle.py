@@ -15,11 +15,14 @@ identical reward sequence per pair while keeping its own counters, so
 conditional expectations over the algorithm's internal randomness can be
 estimated with the noise realization held fixed.
 
-For each Bernoulli pair that ``pull_above`` reads, the tape also keeps the
-count of ones it holds.  That count bounds the ones among the pair's first
-k rewards without reading them, so ``pull_above`` decides most "mean above
-0.5" tests from it and draws new rewards only until the answer is settled;
-``pull_means`` reads real means.
+Rewards are read three ways: ``peek`` lists a pair's next rewards and
+``advance`` counts them as pulled (the threshold bandit), ``pull_means``
+reads the mean of k pulls of each arm of a phase (the uniform baselines),
+and ``pull_above`` whether each such mean exceeds 0.5 (``kcfb``); ``pull``
+and ``pull_many`` are conveniences over ``peek`` and ``advance``.  The tape
+keeps the count of ones of each Bernoulli pair that ``pull_above`` reads,
+which bounds the ones among its first k rewards, so ``pull_above`` decides
+most tests from it and draws new rewards only until the answer is settled.
 """
 
 from __future__ import annotations
@@ -150,6 +153,8 @@ def _ones_in(packed: np.ndarray) -> int:
             int(np.count_nonzero(np.unpackbits(packed[j : j + step])))
             for j in range(0, len(packed), step)
         )
+    # A copy: reading through a memoryview of the tape raised the peak RSS
+    # of repeated n = 120 kcfb runs by about 0.5 MB.
     return int.from_bytes(packed.tobytes(), "little").bit_count()
 
 
@@ -187,55 +192,29 @@ class _Tape:
         self._ones: dict[int, int] = {}
         self._rngs: dict[int, np.random.Generator] = {}
 
-    def read(self, e: int, i: int, k: int) -> np.ndarray:
-        """Rewards i, ..., i + k - 1 of pair e: 0/1 bytes unpacked from the
-        bytes that cover them (Bernoulli), or a view of the float tape
-        (Gaussian)."""
-        end = i + k
-        buf = self._cover(e, end)
-        if self.packed:
-            lo = i >> 3
-            return np.unpackbits(buf[lo : (end + 7) >> 3])[i - 8 * lo : end - 8 * lo]
-        return buf[i:end]
-
     def read_floats(self, e: int, i: int, k: int) -> list[float]:
-        """The rewards ``read`` gives, as a list of floats."""
-        if not self.packed:
-            return self.read(e, i, k).tolist()
+        """Rewards i, ..., i + k - 1 of pair e as a list of floats."""
         end = i + k
+        if not self.packed:
+            return self._cover(e, end)[i:end].tolist()
         lo = i >> 3
         rows = _BIT_FLOATS.take(self._cover(e, end)[lo : (end + 7) >> 3], axis=0)
         return rows.ravel()[i - 8 * lo : end - 8 * lo].tolist()
 
-    def reward(self, e: int, i: int) -> float:
-        """Reward i of pair e, read from its byte (Bernoulli)."""
-        buf = self._cover(e, i + 1)
-        if self.packed:
-            return float(buf.item(i >> 3) >> (7 - (i & 7)) & 1)
-        return buf.item(i)
-
     def total(self, e: int, i: int, k: int) -> float:
-        """Sum of rewards i, ..., i + k - 1 of pair e, equal to the sum of
-        ``read(e, i, k)``: the number of ones, as an int (Bernoulli), or the
-        float sum of the tape's contiguous slice (Gaussian), as a copy of it
-        sums."""
-        if not self.packed:
-            return float(self.read(e, i, k).sum())
+        """Sum of rewards i, ..., i + k - 1 of pair e, for k >= 1: the number
+        of ones, as an int (Bernoulli), or the float sum of the tape's
+        contiguous slice (Gaussian), as a copy of it sums."""
         end = i + k
+        if not self.packed:
+            return float(self._cover(e, end)[i:end].sum())
         lo, hi = i >> 3, (end + 7) >> 3
         covering = self._cover(e, end)[lo:hi]
-        if hi - lo > _UNPACK_BYTES:
-            ones, first, last = _ones_in(covering), covering.item(0), covering.item(-1)
-        else:
-            # A copy: reading through a memoryview of the tape raised the peak
-            # RSS of repeated n = 120 kcfb runs by about 0.5 MB.
-            covering = covering.tobytes()
-            ones = int.from_bytes(covering, "little").bit_count()
-            first, last = covering[0], covering[-1]
+        ones = _ones_in(covering)
         # Less the set bits of the rewards before i (high bits of the first
         # covering byte) and from end on (low bits of the last).
-        ones -= (first >> (8 - (i - 8 * lo))).bit_count()
-        ones -= (last & (1 << (8 * hi - end)) - 1).bit_count()
+        ones -= (covering.item(0) >> (8 - (i - 8 * lo))).bit_count()
+        ones -= (covering.item(-1) & (1 << (8 * hi - end)) - 1).bit_count()
         return ones
 
     def above(self, e: int, i: int, k: int) -> bool:
@@ -373,9 +352,8 @@ class Oracle:
     def pull(self, e: int) -> float:
         """One noisy sample of pair e's similarity."""
         self._check((e,), 1)
-        i = self._counts.item(e)
-        reward = self._tape.reward(e, i)
-        self._tally(e, i, 1)
+        reward = self.peek(e, 1)[0]
+        self.advance(e, 1)
         return reward
 
     def pull_many(self, e: int, k: int) -> np.ndarray:
@@ -384,11 +362,8 @@ class Oracle:
         Raises before mutating anything if the budget cannot cover all k.
         """
         self._check((e,), k)
-        if k == 0:
-            return np.empty(0)
-        i = self._counts.item(e)
-        rewards = self._tape.read(e, i, k).astype(np.float64)
-        self._tally(e, i, k)
+        rewards = np.array(self.peek(e, k), dtype=np.float64)
+        self.advance(e, k)
         return rewards
 
     def pull_means(self, arms: Iterable[int], k: int) -> np.ndarray:
@@ -398,28 +373,27 @@ class Oracle:
         Raises before mutating anything if an arm is not a pair index or the
         budget cannot cover all ``k * len(arms)`` pulls.
         """
-        arms = arms.tolist() if isinstance(arms, np.ndarray) else list(arms)
-        self._check(arms, k, least=1)
-        means = np.empty(len(arms))
-        for j, e in enumerate(arms):
-            i = self._counts.item(e)
-            means[j] = self._tape.total(e, i, k) / k
-            self._tally(e, i, k)
-        return means
+        # An int or float64 sum below 2**53 divides by k to the same float.
+        return self._read_phase(arms, k, self._tape.total, np.float64) / k
 
     def pull_above(self, arms: Iterable[int], k: int) -> np.ndarray:
         """Whether the mean of k pulls of each arm exceeds 0.5, in order:
         ``pull_means(arms, k) > 0.5``, bit for bit, with the same counters
         and errors, but reading only as many rewards as settle each answer.
         """
+        return self._read_phase(arms, k, self._tape.above, bool)
+
+    def _read_phase(self, arms: Iterable[int], k: int, read, dtype) -> np.ndarray:
+        """``read(e, i, k)`` for each arm e at its count i, tallying k pulls
+        of each, after checking every arm, k >= 1 and the block's budget."""
         arms = arms.tolist() if isinstance(arms, np.ndarray) else list(arms)
         self._check(arms, k, least=1)
-        above = np.empty(len(arms), dtype=bool)
+        out = np.empty(len(arms), dtype=dtype)
         for j, e in enumerate(arms):
             i = self._counts.item(e)
-            above[j] = self._tape.above(e, i, k)
+            out[j] = read(e, i, k)
             self._tally(e, i, k)
-        return above
+        return out
 
     def peek(self, e: int, k: int) -> list[float]:
         """The next k rewards of pair e as floats, without pulling them."""

@@ -120,19 +120,13 @@ def _top(heap: list, key: dict, active: set, skip: tuple = ()) -> tuple | None:
     return None
 
 
-def run_tbhs(
-    oracle: Oracle,
-    arms,
-    config: TbhsConfig,
-    max_pulls: int | None = None,
-) -> TbhsOutput:
+def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
     """Classify every arm as good or bad, pulling through ``oracle``.
 
     ``arms`` is any iterable of pair indices.  Ties in the LCB/UCB selection
-    break toward the smallest pair index.  ``max_pulls`` is a safety cap that
-    raises RuntimeError if exceeded; budget errors from the oracle propagate
-    to the caller untouched, raised at the same pull as a round-at-a-time
-    loop would raise them.  A run that ends with an arm's UCB infinite (a
+    break toward the smallest pair index.  Budget errors from the oracle
+    propagate to the caller untouched, raised at the same pull as a
+    round-at-a-time loop would raise them.  A run that ends with an arm's UCB infinite (a
     ``delta`` so small that the radius overflows) raises ParameterError,
     where pulling on would never end.
 
@@ -174,8 +168,6 @@ def run_tbhs(
         g = _top(lcb_heap, neg_lcb, active)[1]
         b = _top(ucb_heap, ucb, active)[1]
         run = _BLOCK
-        if max_pulls is not None:
-            run = min(run, max(1, (max_pulls - pulls_used) // 2 + 1))
         if oracle.budget is not None:
             run = min(run, (oracle.budget - oracle.total_pulls) // 2)
             if run == 0:
@@ -261,8 +253,6 @@ def run_tbhs(
         for e in {g, b} & active:
             heapq.heappush(lcb_heap, (neg_lcb[e], e))
             heapq.heappush(ucb_heap, (ucb[e], e))
-        if max_pulls is not None and pulls_used > max_pulls:
-            raise RuntimeError(f"exceeded pull cap {max_pulls} with {len(active)} arms open")
 
     return TbhsOutput(frozenset(good), frozenset(bad), pulls_used, rounds)
 

@@ -12,18 +12,12 @@ from noisycc.oracle import Oracle
 from noisycc.tbhs import TbhsConfig, TbhsOutput, radius
 
 
-def reference_tbhs(
-    oracle: Oracle,
-    arms,
-    config: TbhsConfig,
-    max_pulls: int | None = None,
-) -> TbhsOutput:
+def reference_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
     """Classify every arm as good or bad, pulling through ``oracle``.
 
     ``arms`` is any iterable of pair indices.  Ties in the LCB/UCB selection
-    break toward the smallest pair index.  ``max_pulls`` is a safety cap that
-    raises RuntimeError if exceeded; budget errors from the oracle propagate
-    to the caller untouched.
+    break toward the smallest pair index.  Budget errors from the oracle
+    propagate to the caller untouched.
     """
     arm_list = sorted(set(arms))
     m = len(arm_list)
@@ -77,7 +71,5 @@ def reference_tbhs(
         if e_b in active and ucb[e_b] <= 0.5 + eps:
             bad.add(e_b)
             active.remove(e_b)
-        if max_pulls is not None and pulls_used > max_pulls:
-            raise RuntimeError(f"exceeded pull cap {max_pulls} with {len(active)} arms open")
 
     return TbhsOutput(frozenset(good), frozenset(bad), pulls_used, rounds)

@@ -59,7 +59,7 @@ def test_c01_tbhs_partition_and_containment():
     contained = 0
     runs = 200
     for seed in range(runs):
-        out = run_tbhs(Oracle(inst, seed=seed), arms, config, max_pulls=10**8)
+        out = run_tbhs(Oracle(inst, seed=seed, budget=10**8), arms, config)
         if out.good | out.bad == arms and not (out.good & out.bad):
             partitions += 1
         if containment_check(out, inst, 0.05):

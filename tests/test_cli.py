@@ -180,6 +180,23 @@ class TestBadRunInputs:
         ["run", "--algo", "kcfb", "--epsilon", "1.0", "--budget", "10"],
         ["analyze"],
     ])
+    @pytest.mark.parametrize("sims,message", [
+        *[(sims, "'sims' must be a list of numbers") for sims in (
+            {"a": 1}, "0.9", [{"a": 1}, 0.1, 0.2], [[0.9], 0.1, 0.2], ["0.5", 0.1, 0.2],
+            [True, 0.1, 0.2], [None, 0.1, 0.2],
+        )],
+        ([10**400, 0.1, 0.2], "finite"),  # too large for a float
+    ])
+    def test_sims_not_numbers(self, command, sims, message, tmp_path, capsys):
+        path = tmp_path / "sims.json"
+        path.write_text(json.dumps({"n": 3, "sims": sims}))
+        line = self.usage_error(command + ["--instance", str(path)], capsys)
+        assert "cannot load instance" in line and message in line
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--algo", "kcfb", "--epsilon", "1.0", "--budget", "10"],
+        ["analyze"],
+    ])
     @pytest.mark.parametrize("labels", [
         [0.5, 1.7, 0.0], [True, False, True], ["0", "1", "0"], [None, 0, 1], [1e30, 0, 1],
     ])

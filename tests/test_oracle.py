@@ -247,6 +247,18 @@ class TestBudget:
         o.pull_many(0, 2)
         assert o.total_pulls == 10
 
+    def test_budget_errors_come_before_any_draw(self):
+        edge = Oracle(one_pair_instance(0.5), seed=0, budget=10)
+        edge.advance(0, 10)  # counts without drawing
+        with pytest.raises(BudgetExhaustedError):
+            edge.pull(0)
+        fresh = Oracle(one_pair_instance(0.5), seed=0, budget=10)
+        with pytest.raises(BudgetExhaustedError):
+            fresh.pull_many(0, 10**9)
+        for o, used in ((edge, 10), (fresh, 0)):
+            assert o.total_pulls == used and o.pulls_report()[1].tolist() == [used]
+            assert o._tape._streams == {}
+
 
 # Seeds across SeedSequence's word splits (one word, two words, the 64-bit
 # limit, more words than its 4-word pool) and fixed random 64-bit seeds.
@@ -574,7 +586,7 @@ class TestTapeTotal:
     )
     def test_equals_sum_of_read(self, seed, s, i, k):
         tape = Oracle(one_pair_instance(s), seed=seed)._tape
-        assert tape.total(0, i, k) == tape.read(0, i, k).sum()
+        assert tape.total(0, i, k) == np.unpackbits(tape._cover(0, i + k))[i : i + k].sum()
 
 
 class TestEmpiricalMean:

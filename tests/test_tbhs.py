@@ -92,9 +92,7 @@ class TestRunTbhs:
     def test_single_boundary_arm_terminates(self):
         inst = Instance(2, [0.5])
         for seed in range(20):
-            out = run_tbhs(
-                Oracle(inst, seed=seed), [0], TbhsConfig(0.2, 0.1), max_pulls=10**8
-            )
+            out = run_tbhs(Oracle(inst, seed=seed, budget=10**8), [0], TbhsConfig(0.2, 0.1))
             assert out.good | out.bad == frozenset({0})
             assert len(out.good) + len(out.bad) == 1
 
@@ -110,7 +108,7 @@ class TestRunTbhs:
             m = num_pairs(n)
             inst = Instance(n, rng.random(m))
             arms = frozenset(range(m))
-            out = run_tbhs(Oracle(inst, seed=seed), arms, TbhsConfig(0.15, 0.2), max_pulls=10**8)
+            out = run_tbhs(Oracle(inst, seed=seed, budget=10**8), arms, TbhsConfig(0.15, 0.2))
             assert out.good | out.bad == arms
             assert out.good & out.bad == frozenset()
 
@@ -146,13 +144,13 @@ class TestRunTbhs:
         assert scaled.pulls_used > base.pulls_used
 
 
-def tbhs_outcome(run, inst, noise, seed, budget, arms, config, max_pulls):
+def tbhs_outcome(run, inst, noise, seed, budget, arms, config):
     """Everything a caller can see of one bandit call: its output or its
     exception, and the oracle's counters and per-arm means afterwards."""
     oracle = Oracle(inst, noise, seed=seed, budget=budget)
     try:
-        result = run(oracle, arms, config, max_pulls)
-    except (BudgetExhaustedError, RuntimeError) as exc:
+        result = run(oracle, arms, config)
+    except BudgetExhaustedError as exc:
         result = (type(exc), str(exc))
     total, counts = oracle.pulls_report()
     means = {e: oracle.empirical_mean(e) for e in np.flatnonzero(counts).tolist()}
@@ -181,9 +179,8 @@ def bandit_cases(draw):
         st.lists(st.integers(0, m - 1), min_size=1, max_size=m),
     ))
     budget = draw(st.none() | st.integers(0, 500))
-    max_pulls = draw(st.none() | st.integers(0, 500))
     seed = draw(st.integers(0, 2**32 - 1))
-    return Instance(n, sims), noise, seed, budget, arms, config, max_pulls
+    return Instance(n, sims), noise, seed, budget, arms, config
 
 
 class TestMatchesRoundAtATime:
@@ -195,24 +192,24 @@ class TestMatchesRoundAtATime:
     def test_random_cases(self, case):
         assert tbhs_outcome(run_tbhs, *case) == tbhs_outcome(reference_tbhs, *case)
 
-    @pytest.mark.parametrize("arms,sims,budget,max_pulls", [
-        ([0], [0.5], None, None),  # one arm: e_g == e_b every round
-        (range(6), [0.5] * 6, None, None),  # constant ties
-        (range(6), [1.0] * 6, None, None),  # arm 0 holds both minima
-        (range(6), [0.5] * 6, 301, None),
-        (range(6), [0.5] * 6, None, 301),
-        ([0], [0.5], 100, None),  # runs out on the second pull of a round
+    # Ids as the cases were first named, so that their test names stay stable.
+    @pytest.mark.parametrize("arms,sims,budget", [
+        pytest.param([0], [0.5], None, id="arms0-sims0-None-None"),  # e_g == e_b every round
+        pytest.param(range(6), [0.5] * 6, None, id="arms1-sims1-None-None"),  # constant ties
+        pytest.param(range(6), [1.0] * 6, None, id="arms2-sims2-None-None"),  # arm 0: both minima
+        pytest.param(range(6), [0.5] * 6, 301, id="arms3-sims3-301-None"),
+        pytest.param([0], [0.5], 100, id="arms5-sims5-100-None"),  # out on a round's 2nd pull
     ])
-    def test_edge_cases(self, arms, sims, budget, max_pulls):
+    def test_edge_cases(self, arms, sims, budget):
         inst = Instance(4, sims + [0.5] * (6 - len(sims)))
         for seed in range(5):
-            case = (inst, None, seed, budget, arms, TbhsConfig(0.05, 0.1), max_pulls)
+            case = (inst, None, seed, budget, arms, TbhsConfig(0.05, 0.1))
             assert tbhs_outcome(run_tbhs, *case) == tbhs_outcome(reference_tbhs, *case)
 
     def test_beyond_the_radius_memo(self):
         # Tens of thousands of pulls of one arm: radii past the memoised
         # counts come from radius() directly, and the memo stays bounded.
-        case = (Instance(2, [0.5]), None, 1, None, [0], TbhsConfig(0.02, 0.1), None)
+        case = (Instance(2, [0.5]), None, 1, None, [0], TbhsConfig(0.02, 0.1))
         new = tbhs_outcome(run_tbhs, *case)
         assert new == tbhs_outcome(reference_tbhs, *case)
         assert new[1] > 2 * tbhs._MEMO_COUNTS
