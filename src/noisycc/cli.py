@@ -91,8 +91,12 @@ def _mc_expected_cost(
     if algo == "kcfc":
         return expected_cost_mc(instance, report.good_mask, replays, rng)
     if algo in ("kcfc-seq", "kcfb"):
+        # One phase table per trial: the replays share the trial's reward
+        # tape, so a phase they have seen before has the same outcome.
+        memo: dict = {}
+
         def draw():
-            return run(oracle.replay(), rng).clustering
+            return run(oracle.replay(), rng, memo).clustering
     elif solver.kind == "exact":
         # Uniform baselines: the estimate is fixed, only the solver may be random.
         return offline.cost(instance, report.clustering), 0.0
@@ -145,8 +149,8 @@ def _run_trial(
     eps, delta, budget, scale = args.epsilon, args.delta, args.budget, args.radius_scale
     run = {
         "kcfc": lambda o, rng: run_kcfc(o, eps, delta, rng, scale),
-        "kcfc-seq": lambda o, rng: run_kcfc_sequential(o, eps, delta, rng, scale),
-        "kcfb": lambda o, rng: run_kcfb(o, budget, rng),
+        "kcfc-seq": lambda o, rng, memo=None: run_kcfc_sequential(o, eps, delta, rng, scale, memo),
+        "kcfb": lambda o, rng, memo=None: run_kcfb(o, budget, rng, memo),
         "uniform-fc": lambda o, rng: run_uniform_fc(o, eps, delta, solver, rng),
         "uniform-fb": lambda o, rng: run_uniform_fb(o, budget, solver, rng),
     }[algo]

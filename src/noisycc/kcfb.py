@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InsufficientBudgetError, ParameterError
 from .instance import incident_pairs, num_pairs
-from .offline import pivot_cluster
+from .offline import PhaseRule, pivot_cluster
 from .oracle import Oracle
 
 
@@ -58,30 +58,34 @@ def run_kcfb(
     oracle: Oracle,
     budget: int,
     rng: np.random.Generator | None = None,
+    memo: dict | None = None,
 ) -> FbReport:
-    """Cluster with at most ``budget`` oracle queries."""
+    """Cluster with at most ``budget`` oracle queries.
+
+    ``memo`` is ``pivot_cluster``'s phase table, to share between replays of
+    one oracle tape: a phase reads each of its arms from count 0, so its
+    joins and next tau depend only on the survivors, the pivot and tau.
+    """
     n = oracle.instance.n
     m = num_pairs(n)
     if budget < m:
         raise InsufficientBudgetError(f"budget {budget} < m = {m}: every pair needs one pull")
     if rng is None:
         rng = np.random.default_rng()
-    tau = budget // m if m > 0 else 0
-    used = 0
-    schedule: list[int] = []
 
-    def decide(p: int, others: np.ndarray) -> np.ndarray:
-        nonlocal tau, used
+    def step(p: int, others: np.ndarray, tau: int) -> tuple[np.ndarray, int, tuple[int, int]]:
         v_r = len(others) + 1
-        # Redistribution never over-commits the remaining budget.
-        assert tau * math.comb(v_r, 2) <= budget - used
-        schedule.append(tau)
         arms = incident_pairs(p, others, n)
         # The last survivor has no pair to pull (and tau is 0 when n = 1).
         join = oracle.pull_above(arms, tau) if len(arms) else np.zeros(0, dtype=bool)
-        used += tau * len(arms)
-        tau = next_tau(tau, v_r, v_r - 1 - int(join.sum()))
-        return join
+        return join, next_tau(tau, v_r, v_r - 1 - int(join.sum())), (tau, len(arms))
 
-    labels = pivot_cluster(n, rng, decide)
+    rule = PhaseRule(step, budget // m if m > 0 else 0)
+    labels = pivot_cluster(n, rng, rule, memo)
+    used = 0
+    for tau, arms in rule.facts:
+        # Redistribution never over-commits the remaining budget.
+        assert tau * math.comb(arms + 1, 2) <= budget - used
+        used += tau * arms
+    schedule = [tau for tau, _ in rule.facts]
     return FbReport(labels, budget, used, len(schedule), schedule)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParameterError, UnboundedRadiusError
 from .instance import incident_pairs, num_pairs, pair_mask
-from .offline import kwikcluster, pivot_cluster
+from .offline import PhaseRule, kwikcluster, pivot_cluster
 from .oracle import Oracle
 from .tbhs import TbhsConfig, run_tbhs
 
@@ -75,8 +75,14 @@ def run_kcfc_sequential(
     delta: float,
     rng: np.random.Generator | None = None,
     radius_scale: float = 1.0,
+    memo: dict | None = None,
 ) -> FcReport:
-    """Per-phase variant: threshold-bandit only the pivot's incident pairs."""
+    """Per-phase variant: threshold-bandit only the pivot's incident pairs.
+
+    ``memo`` is ``pivot_cluster``'s phase table, to share between replays of
+    one oracle tape: a phase's bandit reads each of its arms from count 0, so
+    its good set depends only on the survivors and the pivot.
+    """
     _validate(epsilon, delta)
     n = oracle.instance.n
     too_small = f"delta={delta} is too small for n={n}: the bandit runs at delta / n"
@@ -84,13 +90,10 @@ def run_kcfc_sequential(
         raise ParameterError(f"{too_small}, which underflows to 0")
     if rng is None:
         rng = np.random.default_rng()
-    queries = 0
-    good_total = 0
 
-    def decide(p: int, others: np.ndarray) -> np.ndarray:
-        nonlocal queries, good_total
+    def step(p: int, others: np.ndarray, _) -> tuple[np.ndarray, None, tuple[int, int]]:
         if len(others) == 0:
-            return np.zeros(0, dtype=bool)
+            return np.zeros(0, dtype=bool), None, (0, 0)
         arms = incident_pairs(p, others, n).tolist()
         eps_r = epsilon / (12.0 * len(arms))
         if not eps_r < 0.5:
@@ -101,9 +104,11 @@ def run_kcfc_sequential(
             out = run_tbhs(oracle, arms, TbhsConfig(eps_r, delta / n, radius_scale))
         except UnboundedRadiusError as exc:
             raise ParameterError(f"{too_small} = {delta / n}, and {exc}") from None
-        queries += out.pulls_used
-        good_total += len(out.good)
-        return np.array([e in out.good for e in arms], dtype=bool)
+        join = np.array([e in out.good for e in arms], dtype=bool)
+        return join, None, (out.pulls_used, len(out.good))
 
-    labels = pivot_cluster(n, rng, decide)
+    rule = PhaseRule(step)
+    labels = pivot_cluster(n, rng, rule, memo)
+    queries = sum(pulls for pulls, _ in rule.facts)
+    good_total = sum(good for _, good in rule.facts)
     return FcReport(labels, queries, epsilon, delta, None, good_total, None)

@@ -38,6 +38,7 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import count
 
@@ -148,8 +149,16 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
     # Flat per-arm state keyed by pair index, after one pull of every arm.
     # The selection keys are (-LCB, e) and (UCB, e).  A heap entry is stale
     # once its key differs from the arm's current key; a stale entry whose
-    # key still equals it selects the same arm as the live one.
-    mean = {e: oracle.pull(e) for e in arm_list}
+    # key still equals it selects the same arm as the live one.  The first
+    # pulls are read in one block, up to the first arm that is not a pair
+    # index or that the budget cannot cover; pulling that arm then raises
+    # where pulling arm by arm would.
+    covered = bisect_left(arm_list, oracle.instance.m)
+    if oracle.budget is not None:
+        covered = min(covered, max(oracle.budget - oracle.total_pulls, 0))
+    mean = dict(zip(arm_list, oracle.pull_means(arm_list[:covered], 1).tolist()))
+    if covered < m:
+        oracle.pull(arm_list[covered])
     pulls = dict.fromkeys(arm_list, 1)
     rad = radius(m, 1, delta, scale)
     neg_lcb = {e: -(mu - rad) for e, mu in mean.items()}

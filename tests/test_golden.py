@@ -1,8 +1,9 @@
 """Golden CSV output: fixed command lines must keep producing the same bytes.
 
 The digests were recorded before the per-algorithm pivot loops were merged
-into one engine, and the n = 10 ones before the exact optimum moved from
-set-partition enumeration to a subset DP; any change to RNG consumption,
+into one engine, the n = 10 ones before the exact optimum moved from
+set-partition enumeration to a subset DP, and the two at 500 replays before
+replayed pivot phases were memoised; any change to RNG consumption,
 pivot order, query order, the exact optimum's tie-break or number formatting
 shows up here.
 """
@@ -50,14 +51,20 @@ CASES = {
                                      "--seed", "7", "--solver", "exact"]),
     "kcfb-n10": ("n10", ["--algo", "kcfb", "--epsilon", "1.0", "--budget", "4500",
                          "--trials", "3", "--mc-replays", "20", "--seed", "8"]),
+    # The default 500 replays, at which replay phases repeat within a trial.
+    "kcfb-n10-r500": ("n10", ["--algo", "kcfb", "--epsilon", "1.0", "--budget", "4500",
+                              "--trials", "3", "--seed", "9"]),
+    "kcfc-seq-n10-r500": ("n10", ["--algo", "kcfc-seq", *FC, "--trials", "2", "--seed", "10"]),
 }
 
 EXPECTED_SHA256 = {
     "kcfb-n10": "bd2c68213a1cdc12cb494586364e572ca2791f4e72f645b8947082d006bb739c",
+    "kcfb-n10-r500": "f4d4e0ca0b38844729d88d9c75e654b00c7227a0ffdfee346f67a6cdfc53058c",
     "kcfb-n15": "00b206419a011ba01323359610c420d0c4e4a66e581fa35750819119400d4e8a",
     "kcfb-n6": "54123592fdb3669f7724243cb3009118c0f8ef268dbf2c5612a696da84b197a2",
     "kcfc-n6": "b4e821c9d90e61ea5fdf194b83bbac1214e261a059e63cfed627ae95616f5554",
     "kcfc-seq-n15": "2e3938e90878f8db89348e81d3bd94992849c9d5def98c93d4a3aea9ba7986af",
+    "kcfc-seq-n10-r500": "26a5a8db61273b3a8a94612138790dab0876ae025e2efc39e999c2b4d490b4b3",
     "kcfc-seq-n6": "b6d48e3b69444dac5ed6290dcc95aed1bef251dd3e4b154d451c00eccde1b7f3",
     "uniform-fb-exact-n10": "793bcb5ea2100dfc9beec30105ad44752c3949e3afd399c510f117844574dcf7",
     "uniform-fb-n6": "09ca06130abb47343e08d6968f87973c82252b980a128721568174cc162182fe",
