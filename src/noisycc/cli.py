@@ -188,9 +188,16 @@ def cmd_gen(args, parser: argparse.ArgumentParser) -> int:
         instance = generate(spec)
     except NoisyccError as exc:
         parser.error(str(exc))
-    text = to_json(instance)
-    if args.out:
-        Path(args.out).write_text(text)
+    return _emit(to_json(instance), args.out, parser)
+
+
+def _emit(text: str, out: str | None, parser: argparse.ArgumentParser) -> int:
+    """Write ``text`` to the file ``out``, or to stdout when there is none."""
+    if out:
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            parser.error(f"cannot write --out: {exc}")
     else:
         sys.stdout.write(text)
     return 0
@@ -237,12 +244,7 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
         records.append(record)
 
     lines = [CSV_COLUMNS] + [r.to_csv_row() for r in records]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit("\n".join(lines) + "\n", args.out, parser)
 
 
 def _analysis_lines(instance: Instance, eps: float, delta: float, budget: int) -> list[str]:

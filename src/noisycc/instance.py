@@ -194,7 +194,10 @@ def save_instance(instance: Instance, path: str | Path) -> None:
 
 def load_instance(path: str | Path) -> Instance:
     """Read the JSON instance format, rejecting malformed files."""
-    obj = json.loads(Path(path).read_text())
+    try:
+        obj = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise InvalidSpecError("instance file is nested too deeply") from None
     if not isinstance(obj, dict) or "n" not in obj or "sims" not in obj:
         raise InvalidSpecError("instance file must contain 'n' and 'sims'")
     n = obj["n"]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InsufficientBudgetError, ParameterError
 from .instance import incident_pairs, num_pairs
-from .offline import PhaseRule, pivot_cluster
+from .offline import pivot_cluster
 from .oracle import Oracle
 
 
@@ -80,12 +80,11 @@ def run_kcfb(
         join = oracle.pull_above(arms, tau) if len(arms) else np.zeros(0, dtype=bool)
         return join, next_tau(tau, v_r, v_r - 1 - int(join.sum())), (tau, len(arms))
 
-    rule = PhaseRule(step, budget // m if m > 0 else 0)
-    labels = pivot_cluster(n, rng, rule, memo)
+    labels, facts = pivot_cluster(n, rng, step, budget // m if m > 0 else 0, memo)
     used = 0
-    for tau, arms in rule.facts:
+    for tau, arms in facts:
         # Redistribution never over-commits the remaining budget.
         assert tau * math.comb(arms + 1, 2) <= budget - used
         used += tau * arms
-    schedule = [tau for tau, _ in rule.facts]
+    schedule = [tau for tau, _ in facts]
     return FbReport(labels, budget, used, len(schedule), schedule)

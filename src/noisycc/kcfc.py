@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParameterError, UnboundedRadiusError
 from .instance import incident_pairs, num_pairs, pair_mask
-from .offline import PhaseRule, kwikcluster, pivot_cluster
+from .offline import kwikcluster, pivot_cluster
 from .oracle import Oracle
 from .tbhs import TbhsConfig, run_tbhs
 
@@ -107,8 +107,7 @@ def run_kcfc_sequential(
         join = np.array([e in out.good for e in arms], dtype=bool)
         return join, None, (out.pulls_used, len(out.good))
 
-    rule = PhaseRule(step)
-    labels = pivot_cluster(n, rng, rule, memo)
-    queries = sum(pulls for pulls, _ in rule.facts)
-    good_total = sum(good for _, good in rule.facts)
+    labels, facts = pivot_cluster(n, rng, step, memo=memo)
+    queries = sum(pulls for pulls, _ in facts)
+    good_total = sum(good for _, good in facts)
     return FcReport(labels, queries, epsilon, delta, None, good_total, None)

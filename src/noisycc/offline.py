@@ -7,9 +7,10 @@ repeatedly picks a uniformly random unclustered pivot and groups it with
 every remaining element whose similarity to the pivot strictly exceeds 0.5;
 its expected cost is within a factor 5 of the optimum.  The pivot loop
 itself (``pivot_cluster``) is shared with the noisy algorithms, which decide
-membership from oracle samples instead of known similarities, each through a
-``PhaseRule`` whose per-run state is explicit, so that the Monte-Carlo
-replays of one trial can share a table of the phases they have run.  The exact
+membership from oracle samples instead of known similarities: each passes a
+step that maps (pivot, survivors, state) to the joins, the next state and a
+fact about the phase, so that the Monte-Carlo replays of one trial can share
+a table of the phases they have run, keyed by the survivors.  The exact
 optimum is a subset DP, run as one numpy min-plus subset convolution per
 element, that breaks ties as enumeration in RGS order would.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Callable, Hashable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,82 +52,62 @@ def cost(instance: Instance, clustering) -> float:
     return pairwise_cost(instance.sims, labels)
 
 
-@dataclass
-class PhaseRule:
-    """A phase's membership rule with its per-run state made explicit.
-
-    ``step(p, others, state)`` returns ``(join, next_state, fact)``: the
-    survivors that join pivot p, the state the next phase starts from
-    (``kcfb``'s tau; None for a stateless rule), and a fact about the phase
-    (such as its query count), which is appended to ``facts``.  Called as
-    ``rule(p, others)``, it steps ``state`` on and returns the join mask.
-    """
-
-    step: Callable[[int, np.ndarray, Hashable], tuple[np.ndarray, Hashable, object]]
-    state: Hashable = None
-    facts: list = field(default_factory=list)
-
-    def __call__(self, p: int, others: np.ndarray) -> np.ndarray:
-        join, self.state, fact = self.step(p, others, self.state)
-        self.facts.append(fact)
-        return join
-
-
 def pivot_cluster(
     n: int,
     rng: np.random.Generator,
-    decide: Callable[[int, np.ndarray], np.ndarray],
+    step: Callable[[int, np.ndarray, Hashable], tuple[np.ndarray, Hashable, object]],
+    state: Hashable = None,
     memo: dict | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, list]:
     """Random-pivot clustering driven by a per-phase membership rule.
 
     Each phase draws one pivot ``p`` uniformly from the surviving elements
-    (the phase's only RNG draw) and calls ``decide(p, others)``, where
+    (the phase's only RNG draw) and calls ``step(p, others, state)``, where
     ``others`` holds the other survivors in increasing order, possibly none.
-    The survivors where the returned mask is true join p's cluster; the rest
-    survive, still in increasing order.
+    It returns ``(join, next_state, fact)``: the survivors where the mask
+    ``join`` is true join p's cluster and the rest survive, still in
+    increasing order; the next phase starts from ``next_state`` (``kcfb``'s
+    tau; None for a stateless rule); and ``fact`` (such as the phase's query
+    count) is collected.  Returns the labels and the facts, one per phase.
 
-    ``memo`` is for a ``PhaseRule`` whose step is a pure function of
-    (survivors, pivot, state), as a replayed noisy rule is while its reward
-    tape stays fixed.  It maps (survivor bitmask, pivot index, state) to the
-    phase's outcome, so a phase seen before skips the rule and only replays
-    its outcome, after the same pivot draw.
+    ``memo`` is for a step that is a pure function of (survivors, pivot,
+    state), as a replayed noisy rule is while its reward tape stays fixed.
+    It maps (survivors, pivot index, state) to the phase's outcome, so a
+    phase seen before skips the step and only replays its outcome, after the
+    same pivot draw.
     """
     labels = np.full(n, -1, dtype=np.int64)
-    remaining = np.arange(n)  # None after a memo hit, until a miss needs it
-    left = n
-    survivors = (1 << n) - 1
-    cid = 0
-    while left:
-        i = int(rng.integers(left))
-        key = None if memo is None else (survivors, i, decide.state)
+    # The survivors' bytes: a phase's stored outcome and the next phase's key
+    # share one object, so the table holds each survivor set once.
+    survivors = np.arange(n, dtype=np.int64).tobytes()
+    facts = []
+    while survivors:
+        remaining = np.frombuffer(survivors, dtype=np.int64)
+        i = int(rng.integers(len(remaining)))
+        key = None if memo is None else (survivors, i, state)
         outcome = None if key is None else memo.get(key)
         if outcome is None:
-            if remaining is None:
-                bits = np.frombuffer(survivors.to_bytes(-(-n // 8), "little"), np.uint8)
-                remaining = np.flatnonzero(np.unpackbits(bits, bitorder="little"))
             p = int(remaining[i])
             others = np.concatenate((remaining[:i], remaining[i + 1 :]))
-            join = np.asarray(decide(p, others), dtype=bool)
-            members, remaining = others[join], others[~join]
+            join, next_state, fact = step(p, others, state)
+            join = np.asarray(join, dtype=bool)
+            outcome = (p, others[join], others[~join].tobytes(), next_state, fact)
             if key is not None:
-                survivors -= (1 << p) + sum(1 << u for u in members.tolist())
-                memo[key] = (p, members, survivors, decide.state, decide.facts[-1])
-        else:
-            p, members, survivors, decide.state, fact = outcome
-            decide.facts.append(fact)
-            remaining = None
-        labels[p] = cid
-        labels[members] = cid
-        left -= 1 + len(members)
-        cid += 1
-    return labels
+                memo[key] = outcome
+        p, members, survivors, state, fact = outcome
+        labels[p] = labels[members] = len(facts)
+        facts.append(fact)
+    return labels, facts
 
 
 def kwikcluster(sims: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """KwikCluster over a length-m similarity vector (values may leave [0, 1]):
     each pivot takes every survivor whose similarity to it exceeds 0.5."""
-    return pivot_cluster(n, rng, lambda p, others: sims[incident_pairs(p, others, n)] > 0.5)
+
+    def step(p: int, others: np.ndarray, _) -> tuple[np.ndarray, None, None]:
+        return sims[incident_pairs(p, others, n)] > 0.5, None, None
+
+    return pivot_cluster(n, rng, step)[0]
 
 
 def mean_cost(

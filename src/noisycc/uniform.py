@@ -62,7 +62,11 @@ def uniform_fc_pulls_exact(alpha: float, m: int, epsilon: float, delta: float) -
     """Pre-ceiling per-pair pull count: (alpha+1)^2 m^2 / (2 eps^2) * ln(2m/delta)."""
     if alpha < 1 or m < 1 or not epsilon > 0 or not (0 < delta < 1):
         raise ParameterError("need alpha >= 1, m >= 1, epsilon > 0, delta in (0, 1)")
-    return (alpha + 1.0) ** 2 * m * m / (2.0 * epsilon * epsilon) * math.log(2.0 * m / delta)
+    scale = 2.0 * epsilon * epsilon  # 0.0 once epsilon^2 underflows
+    pulls = (alpha + 1.0) ** 2 * m * m / scale * math.log(2.0 * m / delta) if scale else math.inf
+    if not math.isfinite(pulls):
+        raise ParameterError(f"epsilon={epsilon} is too small: the pull count is not finite")
+    return pulls
 
 
 def uniform_fc_pulls(alpha: float, m: int, epsilon: float, delta: float) -> int:

@@ -343,6 +343,38 @@ class TestBadRunInputs:
         assert "budget 10 < m = 15" in line
         assert not out.exists()
 
+    @pytest.mark.parametrize("epsilon", ["1e-200", "1e-160"])
+    def test_uniform_fc_epsilon_too_small(self, epsilon, noiseless_instance, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        line = self.usage_error(
+            ["run", "--algo", "uniform-fc", "--instance", str(noiseless_instance),
+             "--epsilon", epsilon, "--delta", "0.1", "--mc-replays", "5", "--out", str(out)],
+            capsys)
+        assert line == (f"noisycc: error: trial 0 (uniform-fc): epsilon={float(epsilon)!r}"
+                        " is too small: the pull count is not finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["gen", "--kind", "planted", "--n", "6", "--k", "2"],
+        ["run", "--algo", "kcfb", "--epsilon", "1.0", "--budget", "60", "--mc-replays", "5"],
+    ])
+    def test_out_in_a_missing_directory(self, command, noiseless_instance, tmp_path, capsys):
+        out = tmp_path / "missing" / "out"
+        if command[0] == "run":
+            command = command + ["--instance", str(noiseless_instance)]
+        line = self.usage_error(command + ["--out", str(out)], capsys)
+        assert line.startswith("noisycc: error: cannot write --out:") and str(out) in line
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--algo", "kcfb", "--epsilon", "1.0", "--budget", "10"],
+        ["analyze"],
+    ])
+    def test_deeply_nested_instance(self, command, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        line = self.usage_error(command + ["--instance", str(path)], capsys)
+        assert line == "noisycc: error: cannot load instance: instance file is nested too deeply"
+
     def test_default_solver_does_not_gate_solver_free_algos(self, tmp_path):
         path = tmp_path / "n15.json"
         run_main(["gen", "--kind", "planted", "--n", "15", "--k", "3", "--seed", "2",

@@ -184,3 +184,10 @@ class TestJsonFormat:
         path.write_text(json.dumps({"n": 2}))
         with pytest.raises(InvalidSpecError):
             load_instance(path)
+
+    def test_rejects_deep_nesting(self, tmp_path):
+        # Deep enough to exhaust the JSON decoder's recursion limit.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(InvalidSpecError, match="nested too deeply"):
+            load_instance(path)

@@ -135,17 +135,17 @@ class TestKwikCluster:
         # Singleton cascade asks about every pivot-incident pair: m pairs.
         calls = []
 
-        def low(p, others):
+        def low(p, others, state):
             calls.extend((p, int(u)) for u in others)
-            return np.zeros(len(others), dtype=bool)
+            return np.zeros(len(others), dtype=bool), state, None
 
         pivot_cluster(6, np.random.default_rng(1), low)
         assert len(calls) == num_pairs(6)
         calls.clear()
 
-        def high(p, others):
+        def high(p, others, state):
             calls.extend((p, int(u)) for u in others)
-            return np.ones(len(others), dtype=bool)
+            return np.ones(len(others), dtype=bool), state, None
 
         pivot_cluster(6, np.random.default_rng(1), high)
         assert len(calls) == 5

@@ -147,6 +147,14 @@ class TestUniformFc:
             run_uniform_fb(oracle, 10**6, OfflineSolver("exact"))
         assert oracle.total_pulls == 0
 
+    @pytest.mark.parametrize("epsilon", [1e-200, 1e-160])
+    def test_epsilon_too_small_for_a_finite_count(self, epsilon):
+        # epsilon^2 underflows to 0 at 1e-200; at 1e-160 the count overflows.
+        oracle = Oracle(Instance(3, [0.9, 0.1, 0.5]), seed=0)
+        with pytest.raises(ParameterError, match="not finite"):
+            run_uniform_fc(oracle, epsilon, 0.1, OfflineSolver("exact"))
+        assert oracle.total_pulls == 0
+
 
 class TestUniformFb:
     def test_minimum_budget_noiseless(self):
