@@ -100,18 +100,20 @@ def fc_sample_bound(instance: Instance, epsilon: float, delta: float) -> float:
     over the slack-adjusted gaps ``g``, plus
     ``m / (2 * max(delta_min, epsilon/2)^2)``; floored at m since every arm
     is pulled at least once.  Callers checking the full clustering pipeline
-    pass the shrunken slack ``epsilon / (12 m)``.
+    pass the shrunken slack ``epsilon / (12 m)``.  A bound past the float
+    range, as when a gap's square underflows to 0, is inf.
     """
     if not (0.0 < delta < 1.0):
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")
     tg = tilde_gaps(instance, epsilon)
     m = instance.m
     smd = math.sqrt(m / delta)
-    g2 = tg * tg
-    k = (1.0 / g2) * np.log((4.0 * smd / g2) * np.log(5.0 * smd / g2))
-    delta_min = gaps(instance).delta_min
-    tail = m / (2.0 * max(delta_min, epsilon / 2.0) ** 2)
-    return max(float(m), float(k.sum() + tail))
+    floor2 = max(gaps(instance).delta_min, epsilon / 2.0) ** 2
+    tail = m / (2.0 * floor2) if floor2 else math.inf
+    with np.errstate(divide="ignore", over="ignore"):
+        g2 = tg * tg
+        k = (1.0 / g2) * np.log((4.0 * smd / g2) * np.log(5.0 * smd / g2))
+        return max(float(m), float(k.sum() + tail))
 
 
 def fb_error_bound(instance: Instance, budget: int, epsilon: float) -> float:

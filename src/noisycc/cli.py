@@ -188,6 +188,8 @@ def cmd_gen(args, parser: argparse.ArgumentParser) -> int:
         instance = generate(spec)
     except NoisyccError as exc:
         parser.error(str(exc))
+    except MemoryError:
+        parser.error(f"n={args.n} is too large: the instance does not fit in memory")
     return _emit(to_json(instance), args.out, parser)
 
 

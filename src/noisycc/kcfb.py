@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientBudgetError, ParameterError
-from .instance import incident_pairs, num_pairs
+from .instance import num_pairs
 from .offline import pivot_cluster
 from .oracle import Oracle
 
@@ -70,12 +70,9 @@ def run_kcfb(
     m = num_pairs(n)
     if budget < m:
         raise InsufficientBudgetError(f"budget {budget} < m = {m}: every pair needs one pull")
-    if rng is None:
-        rng = np.random.default_rng()
 
-    def step(p: int, others: np.ndarray, tau: int) -> tuple[np.ndarray, int, tuple[int, int]]:
-        v_r = len(others) + 1
-        arms = incident_pairs(p, others, n)
+    def step(arms: np.ndarray, tau: int) -> tuple[np.ndarray, int, tuple[int, int]]:
+        v_r = len(arms) + 1
         # The last survivor has no pair to pull (and tau is 0 when n = 1).
         join = oracle.pull_above(arms, tau) if len(arms) else np.zeros(0, dtype=bool)
         return join, next_tau(tau, v_r, v_r - 1 - int(join.sum())), (tau, len(arms))

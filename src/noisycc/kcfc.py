@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, UnboundedRadiusError
-from .instance import incident_pairs, num_pairs, pair_mask
+from .instance import num_pairs, pair_mask
 from .offline import kwikcluster, pivot_cluster
 from .oracle import Oracle
 from .tbhs import TbhsConfig, run_tbhs
@@ -62,8 +62,6 @@ def run_kcfc(
     if not eps_prime < 0.5:
         raise ParameterError(f"epsilon={epsilon} too large: epsilon/(12m) must be < 0.5")
     out = run_tbhs(oracle, range(m), TbhsConfig(eps_prime, delta, radius_scale))
-    if rng is None:
-        rng = np.random.default_rng()
     good = pair_mask(out.good, m).astype(np.float64)
     labels = kwikcluster(good, n, rng)
     return FcReport(labels, out.pulls_used, epsilon, delta, eps_prime, len(out.good), good)
@@ -88,13 +86,11 @@ def run_kcfc_sequential(
     too_small = f"delta={delta} is too small for n={n}: the bandit runs at delta / n"
     if not delta / n > 0:
         raise ParameterError(f"{too_small}, which underflows to 0")
-    if rng is None:
-        rng = np.random.default_rng()
 
-    def step(p: int, others: np.ndarray, _) -> tuple[np.ndarray, None, tuple[int, int]]:
-        if len(others) == 0:
+    def step(arms: np.ndarray, _) -> tuple[np.ndarray, None, tuple[int, int]]:
+        if len(arms) == 0:
             return np.zeros(0, dtype=bool), None, (0, 0)
-        arms = incident_pairs(p, others, n).tolist()
+        arms = arms.tolist()
         eps_r = epsilon / (12.0 * len(arms))
         if not eps_r < 0.5:
             raise ParameterError(

@@ -8,11 +8,12 @@ every remaining element whose similarity to the pivot strictly exceeds 0.5;
 its expected cost is within a factor 5 of the optimum.  The pivot loop
 itself (``pivot_cluster``) is shared with the noisy algorithms, which decide
 membership from oracle samples instead of known similarities: each passes a
-step that maps (pivot, survivors, state) to the joins, the next state and a
-fact about the phase, so that the Monte-Carlo replays of one trial can share
-a table of the phases they have run, keyed by the survivors.  The exact
-optimum is a subset DP, run as one numpy min-plus subset convolution per
-element, that breaks ties as enumeration in RGS order would.
+step that maps the pairs from the pivot to the other survivors, and a state,
+to the joins, the next state and a fact about the phase, so that the
+Monte-Carlo replays of one trial can share a table of the phases they have
+run, keyed by the survivors.  The exact optimum is a subset DP, run as one
+numpy min-plus subset convolution per element, that breaks ties as
+enumeration in RGS order would.
 """
 
 from __future__ import annotations
@@ -54,28 +55,32 @@ def cost(instance: Instance, clustering) -> float:
 
 def pivot_cluster(
     n: int,
-    rng: np.random.Generator,
-    step: Callable[[int, np.ndarray, Hashable], tuple[np.ndarray, Hashable, object]],
+    rng: np.random.Generator | None,
+    step: Callable[[np.ndarray, Hashable], tuple[np.ndarray, Hashable, object]],
     state: Hashable = None,
     memo: dict | None = None,
 ) -> tuple[np.ndarray, list]:
     """Random-pivot clustering driven by a per-phase membership rule.
 
     Each phase draws one pivot ``p`` uniformly from the surviving elements
-    (the phase's only RNG draw) and calls ``step(p, others, state)``, where
-    ``others`` holds the other survivors in increasing order, possibly none.
-    It returns ``(join, next_state, fact)``: the survivors where the mask
-    ``join`` is true join p's cluster and the rest survive, still in
-    increasing order; the next phase starts from ``next_state`` (``kcfb``'s
-    tau; None for a stateless rule); and ``fact`` (such as the phase's query
-    count) is collected.  Returns the labels and the facts, one per phase.
+    (the phase's only RNG draw; ``rng`` None draws from a fresh default
+    generator) and calls ``step(arms, state)``, where ``arms`` holds the
+    indices of the pairs from p to the other survivors, in increasing order
+    of the survivor, possibly none.  It returns ``(join, next_state, fact)``:
+    the survivors where the bool mask ``join`` is true join p's cluster and
+    the rest survive, still in increasing order; the next phase starts from
+    ``next_state`` (``kcfb``'s tau; None for a stateless rule); and ``fact``
+    (such as the phase's query count) is collected.  Returns the labels and
+    the facts, one per phase.
 
-    ``memo`` is for a step that is a pure function of (survivors, pivot,
-    state), as a replayed noisy rule is while its reward tape stays fixed.
-    It maps (survivors, pivot index, state) to the phase's outcome, so a
-    phase seen before skips the step and only replays its outcome, after the
-    same pivot draw.
+    ``memo`` is for a step that is a pure function of (arms, state), as a
+    replayed noisy rule is while its reward tape stays fixed.  It maps
+    (survivors, pivot index, state) to the phase's outcome, so a phase seen
+    before skips the step and only replays its outcome, after the same
+    pivot draw.
     """
+    if rng is None:
+        rng = np.random.default_rng()
     labels = np.full(n, -1, dtype=np.int64)
     # The survivors' bytes: a phase's stored outcome and the next phase's key
     # share one object, so the table holds each survivor set once.
@@ -89,8 +94,7 @@ def pivot_cluster(
         if outcome is None:
             p = int(remaining[i])
             others = np.concatenate((remaining[:i], remaining[i + 1 :]))
-            join, next_state, fact = step(p, others, state)
-            join = np.asarray(join, dtype=bool)
+            join, next_state, fact = step(incident_pairs(p, others, n), state)
             outcome = (p, others[join], others[~join].tobytes(), next_state, fact)
             if key is not None:
                 memo[key] = outcome
@@ -100,14 +104,10 @@ def pivot_cluster(
     return labels, facts
 
 
-def kwikcluster(sims: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+def kwikcluster(sims: np.ndarray, n: int, rng: np.random.Generator | None) -> np.ndarray:
     """KwikCluster over a length-m similarity vector (values may leave [0, 1]):
     each pivot takes every survivor whose similarity to it exceeds 0.5."""
-
-    def step(p: int, others: np.ndarray, _) -> tuple[np.ndarray, None, None]:
-        return sims[incident_pairs(p, others, n)] > 0.5, None, None
-
-    return pivot_cluster(n, rng, step)[0]
+    return pivot_cluster(n, rng, lambda arms, _: (sims[arms] > 0.5, None, None))[0]
 
 
 def mean_cost(

@@ -44,7 +44,7 @@ class OfflineSolver:
     def alpha(self) -> float:
         return 1.0 if self.kind == "exact" else 5.0
 
-    def solve(self, shat: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    def solve(self, shat: np.ndarray, n: int, rng: np.random.Generator | None) -> np.ndarray:
         if self.kind == "exact":
             return min_cost_partition(shat, n).witness
         best_labels = None
@@ -113,8 +113,6 @@ def run_uniform_fb(
     m = num_pairs(n)
     if budget < m:
         raise InsufficientBudgetError(f"budget {budget} < m = {m}: every pair needs one pull")
-    if rng is None:
-        rng = np.random.default_rng()
     if n == 1:
         return FbReport(np.zeros(1, dtype=np.int64), budget, 0, 1, [0])
     per_pair = budget // m

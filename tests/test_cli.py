@@ -89,6 +89,16 @@ class TestRun:
         run_main(argv + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_sample_bound_overflow_is_quiet(self, noiseless_instance, tmp_path, capsys):
+        # epsilon / (12 m) squared underflows to 0: the bound is inf, with no warning.
+        out = tmp_path / "res.csv"
+        assert run_main(["run", "--algo", "kcfc", "--instance", str(noiseless_instance),
+                         "--epsilon", "1e-300", "--delta", "0.1", "--mc-replays", "5",
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = parse_csv(out.read_text())
+        assert rows[0]["bound_ref"] == "inf"
+
     def test_workers_do_not_change_output(self, noiseless_instance, tmp_path):
         argv = ["run", "--algo", "kcfc-seq", "--instance", str(noiseless_instance),
                 "--epsilon", "1.0", "--delta", "0.1", "--trials", "4",
@@ -375,6 +385,16 @@ class TestBadRunInputs:
         line = self.usage_error(command + ["--instance", str(path)], capsys)
         assert line == "noisycc: error: cannot load instance: instance file is nested too deeply"
 
+    @pytest.mark.parametrize("kind", ["planted", "uniform_random"])
+    def test_gen_too_large_for_memory(self, kind, tmp_path, capsys):
+        # About 9 TB of pair arrays: the first allocation fails at once.
+        out = tmp_path / "big.json"
+        line = self.usage_error(["gen", "--kind", kind, "--n", "3000000", "--k", "3",
+                                 "--out", str(out)], capsys)
+        assert line == ("noisycc: error: n=3000000 is too large:"
+                        " the instance does not fit in memory")
+        assert not out.exists()
+
     def test_default_solver_does_not_gate_solver_free_algos(self, tmp_path):
         path = tmp_path / "n15.json"
         run_main(["gen", "--kind", "planted", "--n", "15", "--k", "3", "--seed", "2",
@@ -420,6 +440,14 @@ class TestAnalyze:
         run_main(["analyze", "--instance", str(path)])
         out = capsys.readouterr().out
         assert "delta_min: " in out
+
+    def test_sample_bound_overflows_to_inf(self, tmp_path, capsys):
+        # Every pair at 0.5 and (epsilon / 2)^2 underflowing to 0.
+        path = tmp_path / "half.json"
+        save_instance(Instance(3, [0.5] * 3), path)
+        assert run_main(["analyze", "--instance", str(path), "--epsilon", "1e-200"]) == 0
+        out = capsys.readouterr().out
+        assert "fc_sample_bound: inf\n" in out
 
     def test_missing_file_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

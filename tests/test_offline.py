@@ -135,20 +135,39 @@ class TestKwikCluster:
         # Singleton cascade asks about every pivot-incident pair: m pairs.
         calls = []
 
-        def low(p, others, state):
-            calls.extend((p, int(u)) for u in others)
-            return np.zeros(len(others), dtype=bool), state, None
+        def low(arms, state):
+            calls.extend(arms.tolist())
+            return np.zeros(len(arms), dtype=bool), state, None
 
         pivot_cluster(6, np.random.default_rng(1), low)
         assert len(calls) == num_pairs(6)
         calls.clear()
 
-        def high(p, others, state):
-            calls.extend((p, int(u)) for u in others)
-            return np.ones(len(others), dtype=bool), state, None
+        def high(arms, state):
+            calls.extend(arms.tolist())
+            return np.ones(len(arms), dtype=bool), state, None
 
         pivot_cluster(6, np.random.default_rng(1), high)
         assert len(calls) == 5
+
+    def test_steps_receive_each_pivot_pair_once(self):
+        n = 7
+        phases = []
+
+        def low(arms, state):
+            phases.append(arms.tolist())
+            return np.zeros(len(arms), dtype=bool), state, None
+
+        pivot_cluster(n, np.random.default_rng(3), low)
+        assert sorted(e for arms in phases for e in arms) == list(range(num_pairs(n)))
+        phases.clear()
+
+        def high(arms, state):
+            phases.append(arms.tolist())
+            return np.ones(len(arms), dtype=bool), state, None
+
+        pivot_cluster(n, np.random.default_rng(3), high)
+        assert len(phases) == 1 and len(phases[0]) == n - 1
 
     def test_pair_set_source(self):
         good = pair_mask({pair_index(0, 1, 3)}, 3)

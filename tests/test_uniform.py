@@ -203,6 +203,14 @@ class TestUniformFb:
         assert list(report.clustering) == [0]
         assert report.queries_used == 0
 
+    def test_kwik_restarts_without_rng(self):
+        # The pivot loop draws a default generator for each restart.
+        inst = generate(GeneratorSpec("planted", n=8, k=3, seed=2))
+        report = run_uniform_fb(
+            Oracle(inst, seed=0), 10 * inst.m, OfflineSolver("kwik_restarts", restarts=5)
+        )
+        assert report.clustering.shape == (8,) and report.clustering.min() >= 0
+
     def test_error_bound_reference(self):
         assert uniform_fb_error_bound(1.0, 10, 0, 0.5) == 1.0
         small = uniform_fb_error_bound(1.0, 10, 10**4, 0.5)
