@@ -15,14 +15,20 @@ identical reward sequence per pair while keeping its own counters, so
 conditional expectations over the algorithm's internal randomness can be
 estimated with the noise realization held fixed.
 
-Rewards are read three ways: ``peek`` lists a pair's next rewards and
-``advance`` counts them as pulled (the threshold bandit), ``pull_means``
-reads the mean of k pulls of each arm of a phase (the uniform baselines),
-and ``pull_above`` whether each such mean exceeds 0.5 (``kcfb``); ``pull``
-and ``pull_many`` are conveniences over ``peek`` and ``advance``.  The tape
-keeps the count of ones of each Bernoulli pair that ``pull_above`` reads,
-which bounds the ones among its first k rewards, so ``pull_above`` decides
-most tests from it and draws new rewards only until the answer is settled.
+Rewards are read three ways: ``running_means`` lists a pair's running means
+over its next rewards and ``advance`` counts them as pulled (the threshold
+bandit), ``pull_means`` reads the mean of k pulls of each arm of a phase
+(the uniform baselines), and ``pull_above`` whether each such mean exceeds
+0.5 (``kcfb``); ``pull`` and ``pull_many`` are conveniences over ``peek``
+and ``advance``.  The tape keeps the count of ones of each Bernoulli pair
+that ``pull_above`` reads, which bounds the ones among its first k rewards,
+so ``pull_above`` decides most tests from it and draws new rewards only
+until the answer is settled.  The first time a bandit reads the tape, it
+draws the first ``_COLUMNS`` rewards of every pair and folds their running
+means into a table, which the tape's replays share.
+
+No read may take a pair's pull count to 2**63 or more, which the int64
+counters cannot record; such a read is rejected before any draw.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -139,6 +146,11 @@ _PIECE = 1 << 16
 # stays at 64 KiB; shorter ones as one Python integer's set bits, which is
 # faster below about 8,192 rewards and slower above.
 _UNPACK_BYTES = 1 << 10
+# The tape's table of running means covers each pair's first this many
+# rewards: 4 KiB per pair.
+_COLUMNS = 512
+# A pair's pull count must fit the oracle's int64 counters.
+_MAX_PULLS = (1 << 63) - 1
 # Below this k, a mean of k Bernoulli rewards exceeds 0.5 exactly when
 # ``2 * ones > k``: (2 * ones - k) / (2 * k) is then more than half an ulp of
 # 0.5, so ``ones / k`` cannot round down to 0.5.
@@ -179,6 +191,10 @@ class _Tape:
     ``standard_normal`` streams do not depend on how the draws are split, so
     neither the growth rule, the byte rounding nor the pieces of ``_PIECE``
     draws change any reward.
+
+    ``running_means`` keeps a table of the running means of every pair's
+    first ``_COLUMNS`` rewards, 4 KiB per pair, built at its first read from
+    reward 0 and freed with the tape.
     """
 
     def __init__(self, seed: int, sims: np.ndarray, noise: NoiseModel) -> None:
@@ -191,6 +207,8 @@ class _Tape:
         # Ones on the tape of each pair that ``above`` has read.
         self._ones: dict[int, int] = {}
         self._rngs: dict[int, np.random.Generator] = {}
+        # Entry j * m + e: the running mean of pair e's first j + 1 rewards.
+        self._means: memoryview | None = None
 
     def read_floats(self, e: int, i: int, k: int) -> list[float]:
         """Rewards i, ..., i + k - 1 of pair e as a list of floats."""
@@ -200,6 +218,59 @@ class _Tape:
         lo = i >> 3
         rows = _BIT_FLOATS.take(self._cover(e, end)[lo : (end + 7) >> 3], axis=0)
         return rows.ravel()[i - 8 * lo : end - 8 * lo].tolist()
+
+    def running_means(self, e: int, i: int, k: int, mu: float, run: int) -> Sequence[float]:
+        """The running means after each of rewards i, ..., i + run - 1 of
+        pair e: ``mu += (r - mu) / k`` one reward at a time, with k counting
+        on from ``k`` and the mean from ``mu``.
+
+        Where i == k the fold began at reward 0, so its means up to reward
+        ``_COLUMNS`` are the table's, the same floats; a run that lies in
+        the table is returned as a strided view of it.  Past the table, and
+        for a fold that began later, the means are folded here.
+        """
+        if i == k < _COLUMNS:
+            if self._means is None:
+                self._means = self._fold_means()
+            m = len(self.sims)
+            if k + run <= _COLUMNS:
+                return self._means[k * m + e : (k + run) * m + e : m]
+            means = self._means[k * m + e :: m].tolist()
+            i = k = _COLUMNS
+            run -= len(means)
+            mu = means[-1]
+        else:
+            means = []
+        for r in self.read_floats(e, i, run):
+            k += 1
+            mu += (r - mu) / k
+            means.append(mu)
+        return means
+
+    def _fold_means(self) -> memoryview:
+        """The table of running means, a flat view of floats whose entry
+        j * m + e is the running mean of pair e's first j + 1 rewards, for
+        every pair, folded a row at a time with numpy's float64 ``-``, ``/``
+        and ``+``, the same IEEE operations as the scalar
+        ``mu += (r - mu) / k``."""
+        m = len(self.sims)
+        table = np.empty((_COLUMNS, m))
+        if self.packed:
+            heads = [self._cover(e, _COLUMNS)[: _COLUMNS // 8] for e in range(m)]
+            # Eight rows of rewards at a time, as 0 and 1 bytes.
+            rewards = chain.from_iterable(
+                np.unpackbits(byte[None], axis=0) for byte in np.stack(heads, axis=1)
+            )
+        else:
+            heads = [self._cover(e, _COLUMNS)[:_COLUMNS] for e in range(m)]
+            rewards = np.stack(heads, axis=1, out=table)
+        mu = np.zeros(m)
+        for j, (row, r) in enumerate(zip(table, rewards), 1):
+            np.subtract(r, mu, out=row)
+            row /= j
+            row += mu
+            mu = row
+        return memoryview(table).cast("B").cast("d")
 
     def total(self, e: int, i: int, k: int) -> float:
         """Sum of rewards i, ..., i + k - 1 of pair e, for k >= 1: the number
@@ -332,12 +403,21 @@ class Oracle:
         return Oracle(self.instance, self.noise, self.seed, _tape=self._tape)
 
     def _check(self, arms: Sequence[int], k: int, least: int = 0) -> None:
-        """k >= least, every arm is a pair index, and k pulls of each fit the budget."""
+        """k >= least, every arm is a pair index whose count k more pulls
+        leave below 2**63, and k pulls of each fit the budget."""
         if k < least:
             raise ValueError(f"k must be >= {least}")
         for e in arms:
             if not (0 <= e < self._m):
                 raise InvalidPairError(f"pair index {e} out of range (m={self._m})")
+        # No pair's count exceeds the total, so only then can one overflow.
+        if self._total + k > _MAX_PULLS:
+            for e in arms:
+                if self._counts.item(e) + k > _MAX_PULLS:
+                    raise ParameterError(
+                        f"{k} more pulls of pair {e} cannot be counted: the oracle"
+                        f" counts at most {_MAX_PULLS} pulls per pair"
+                    )
         requested = k * len(arms)
         if self.budget is not None and self._total + requested > self.budget:
             raise BudgetExhaustedError(
@@ -399,6 +479,18 @@ class Oracle:
         """The next k rewards of pair e as floats, without pulling them."""
         self._check((e,), 0)
         return self._tape.read_floats(e, self._counts.item(e), k)
+
+    def running_means(self, e: int, k: int, mu: float, run: int) -> Sequence[float]:
+        """Pair e's running means after each of its next ``run`` pulls,
+        without pulling them: ``mu += (r - mu) / k`` one reward at a time,
+        continuing ``mu``, the mean this fold gives after pair e's last ``k``
+        pulls.
+
+        An arm read from count 0 takes its first ``_COLUMNS`` means from the
+        tape's table, which its replays share; the same floats, bit for bit.
+        """
+        self._check((e,), 0)
+        return self._tape.running_means(e, self._counts.item(e), k, mu, run)
 
     def advance(self, e: int, k: int) -> None:
         """Count pair e's next k rewards as pulled, as k calls of ``pull``

@@ -17,9 +17,9 @@ input arms, deterministically.
 
 Rounds are evaluated in runs.  The selection seldom changes from one round
 to the next, and while the same (e_g, e_b) stays selected no other arm's
-bounds move.  So a run reads the two arms' next rewards from the oracle in
-one block, updates their means and bounds in one tight loop, and stops at
-the first round after which either arm is classified or the pair would no
+bounds move.  So a run reads the two arms' next running means from the
+oracle in one block, forms their bounds in one tight loop, and stops at the
+first round after which either arm is classified or the pair would no
 longer be selected: e_g must keep the (-LCB, index) minimum and e_b the
 (UCB, index) minimum, against each other and against the best other active
 arms, whose bounds are fixed for the run.  The oracle's counters and the
@@ -27,10 +27,14 @@ heaps are updated once per run.  The result, the rounds and the oracle's
 counters equal those of a loop that selects and pulls one round at a time.
 
 Exactness rule: every round is computed with the arithmetic of a round on
-its own, the incremental mean ``mu + (r - mu) / k`` one reward at a time and
+its own, the running mean ``mu + (r - mu) / k`` one reward at a time and
 radii from ``radius`` itself (memoised), never a cumulative sum over ``k``
-or a vectorised log.  One differing last bit can move an arm between the
-good and the bad set.
+or a vectorised log.  The running means come from ``Oracle.running_means``:
+an arm's first 512 from its tape's table, which numpy folds across all
+pairs one reward at a time with float64 ``-``, ``/`` and ``+``, the same
+IEEE operations as the scalar fold, and the rest from the scalar fold
+itself.  One differing last bit can move an arm between the good and the
+bad set.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from itertools import count
 
 from .errors import NoSamplesError, ParameterError, UnboundedRadiusError
 from .instance import Instance, pair_mask
-from .oracle import Oracle
+from .oracle import _MAX_PULLS, Oracle
 
 # Radii memo, keyed by (m, delta, scale): each table holds radius() for pull
 # counts up to _MEMO_COUNTS, and larger counts call radius() directly.  At
@@ -55,8 +59,8 @@ _MEMO_COUNTS = 4096
 _MEMO_KEYS = 32
 _radii: dict[tuple[int, float, float], array] = {}
 
-# At most this many rounds' rewards are read from the oracle at once; a
-# longer run goes on in the next block.
+# At most this many rounds' running means are read from the oracle at once;
+# a longer run goes on in the next block.
 _BLOCK = 128
 
 
@@ -96,19 +100,45 @@ class TbhsOutput:
     rounds: int
 
 
-def _radius_table(m: int, delta: float, scale: float, upto: int) -> array:
-    """Memoised ``[nan, radius(m, 1, ...), radius(m, 2, ...), ...]``, filled
-    up to ``min(upto, _MEMO_COUNTS)`` pulls by calling ``radius`` itself."""
+def _unclassifiable(m: int, config: TbhsConfig) -> bool:
+    """Whether no Bernoulli arm among ``m`` can be classified in fewer than
+    2**63 pulls, the most the oracle counts.
+
+    A Bernoulli mean lies in [0, 1], so an LCB reaches ``0.5 - epsilon``, or
+    a UCB ``0.5 + epsilon``, only once ``radius(m, k, ...) <= 0.5 + epsilon``.
+    ln(4 m k^2 / delta) / k never rises as k grows (4 m / delta > 4), so the
+    least radius below 2**63 pulls is at k = 2**63 - 1.  The test is made on
+    the squared radius with the logarithm taken term by term, which
+    overflows for no delta or scale.
+    """
+    k = float(_MAX_PULLS)
+    log_arg = math.log(4.0 * m) - math.log(config.delta) + 2.0 * math.log(k)
+    reach = (0.5 + config.epsilon) / config.radius_scale
+    return log_arg / (2.0 * k) > reach * reach
+
+
+def _radius_span(m: int, delta: float, scale: float, k: int, run: int) -> array:
+    """``radius(m, j, delta, scale)`` for j = k + 1, ..., k + run.
+
+    Counts up to ``_MEMO_COUNTS`` read the memo's table for (m, delta,
+    scale), ``[nan, radius(m, 1, ...), radius(m, 2, ...), ...]``, filled as
+    far as needed by calling ``radius`` itself; larger counts call it
+    directly.
+    """
     key = (m, delta, scale)
     table = _radii.get(key)
     if table is None:
         if len(_radii) >= _MEMO_KEYS:
             del _radii[next(iter(_radii))]
         table = _radii[key] = array("d", [math.nan])
-    upto = min(upto, _MEMO_COUNTS)
+    end = k + run
+    upto = min(end, _MEMO_COUNTS)
     if len(table) <= upto:
-        table.extend([radius(m, k, delta, scale) for k in range(len(table), upto + 1)])
-    return table
+        table.extend([radius(m, j, delta, scale) for j in range(len(table), upto + 1)])
+    span = table[k + 1 : end + 1]
+    if end >= len(table):
+        span.extend([radius(m, j, delta, scale) for j in range(max(k + 1, len(table)), end + 1)])
+    return span
 
 
 def _top(heap: list, key: dict, active: set, skip: tuple = ()) -> tuple | None:
@@ -127,9 +157,12 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
     ``arms`` is any iterable of pair indices.  Ties in the LCB/UCB selection
     break toward the smallest pair index.  Budget errors from the oracle
     propagate to the caller untouched, raised at the same pull as a
-    round-at-a-time loop would raise them.  A run that ends with an arm's UCB infinite (a
-    ``delta`` so small that the radius overflows) raises ParameterError,
-    where pulling on would never end.
+    round-at-a-time loop would raise them.  Two configs where pulling on
+    would never end raise ParameterError: a run that ends with an arm's UCB
+    infinite (a ``delta`` so small that the radius overflows), and, before
+    any pull, Bernoulli rewards under a radius that stays above
+    ``0.5 + epsilon`` for 2**63 pulls (a huge ``radius_scale``).  Gaussian
+    means are unbounded, so the second check does not apply to them.
 
     Rounds with an unchanged (e_g, e_b) are evaluated as one run, as the
     module docstring describes; the output, the rounds and every oracle
@@ -145,18 +178,27 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
     scale = config.radius_scale
     good_at = 0.5 - config.epsilon
     bad_at = 0.5 + config.epsilon
+    if oracle.noise.kind == "bernoulli" and _unclassifiable(m, config):
+        raise ParameterError(
+            f"radius_scale={scale} keeps the confidence radius of {m} arms at the"
+            f" bandit's delta={delta} above 0.5 + epsilon = {bad_at} for 2**63"
+            " pulls, so no Bernoulli arm could be classified"
+        )
 
     # Flat per-arm state keyed by pair index, after one pull of every arm.
     # The selection keys are (-LCB, e) and (UCB, e).  A heap entry is stale
     # once its key differs from the arm's current key; a stale entry whose
     # key still equals it selects the same arm as the live one.  The first
-    # pulls are read in one block, up to the first arm that is not a pair
-    # index or that the budget cannot cover; pulling that arm then raises
-    # where pulling arm by arm would.
+    # pulls are read up to the first arm that is not a pair index or that the
+    # budget cannot cover; pulling that arm then raises where pulling arm by
+    # arm would.
     covered = bisect_left(arm_list, oracle.instance.m)
     if oracle.budget is not None:
         covered = min(covered, max(oracle.budget - oracle.total_pulls, 0))
-    mean = dict(zip(arm_list, oracle.pull_means(arm_list[:covered], 1).tolist()))
+    mean = {}
+    for e in arm_list[:covered]:
+        mean[e] = oracle.running_means(e, 0, 0.0, 1)[0]
+        oracle.advance(e, 1)
     if covered < m:
         oracle.pull(arm_list[covered])
     pulls = dict.fromkeys(arm_list, 1)
@@ -190,54 +232,56 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
         other = _top(ucb_heap, ucb, active, (g, b))
         ucb_o, b_before_o = (other[0], b < other[1]) if other else (math.inf, True)
 
-        kg, mg = pulls[g], mean[g]
+        # The run goes on while e_g keeps the (-LCB, e) minimum and e_b the
+        # (UCB, e) minimum over the active arms: against the other arms, while
+        # lo_g <= LCB(e_g) and UCB(e_b) <= hi_b.
+        lo_g = lcb_o if g_before_o else math.nextafter(lcb_o, math.inf)
+        hi_b = ucb_o if b_before_o else math.nextafter(ucb_o, -math.inf)
+        kg = pulls[g]
         if g != b:
-            kb, mb = pulls[b], mean[b]
-            rads = _radius_table(m, delta, scale, max(kg, kb) + run)
-            top = len(rads) - 1
-            g_first = g < b
-            for done, rg, rb in zip(count(1), oracle.peek(g, run), oracle.peek(b, run)):
-                kg += 1
-                mg += (rg - mg) / kg
-                rad = rads[kg] if kg <= top else radius(m, kg, delta, scale)
-                lg, ug = mg - rad, mg + rad
-                kb += 1
-                mb += (rb - mb) / kb
-                rad = rads[kb] if kb <= top else radius(m, kb, delta, scale)
-                lb, ub = mb - rad, mb + rad
-                if lg >= good_at or ub <= bad_at:
-                    break
-                # The run goes on while e_g keeps the (-LCB, e) minimum and
-                # e_b the (UCB, e) minimum over the active arms.
-                if not (
-                    (lg > lb or lg == lb and g_first)
-                    and (lg > lcb_o or lg == lcb_o and g_before_o)
-                    and (ub < ug or ub == ug and not g_first)
-                    and (ub < ucb_o or ub == ucb_o and b_before_o)
-                ):
-                    break
+            kb = pulls[b]
+            steps = zip(
+                count(1),
+                oracle.running_means(g, kg, mean[g], run),
+                _radius_span(m, delta, scale, kg, run),
+                oracle.running_means(b, kb, mean[b], run),
+                _radius_span(m, delta, scale, kb, run),
+            )
+            # Against each other, the smaller pair index wins a tie.
+            if g < b:
+                for done, mg, rg, mb, rb in steps:
+                    lg, ub = mg - rg, mb + rb
+                    if not (
+                        lo_g <= lg < good_at and bad_at < ub <= hi_b
+                        and lg >= mb - rb and ub < mg + rg
+                    ):
+                        break
+            else:
+                for done, mg, rg, mb, rb in steps:
+                    lg, ub = mg - rg, mb + rb
+                    if not (
+                        lo_g <= lg < good_at and bad_at < ub <= hi_b
+                        and lg > mb - rb and ub <= mg + rg
+                    ):
+                        break
+            lb, ug = mb - rb, mg + rg
+            kg += done
+            kb += done
             oracle.advance(g, done)
             oracle.advance(b, done)
             pulls[b], mean[b], neg_lcb[b], ucb[b] = kb, mb, -lb, ub
         else:
             # One arm holds both minima and is pulled twice per round.
-            rads = _radius_table(m, delta, scale, kg + 2 * run)
-            top = len(rads) - 1
-            rewards = iter(oracle.peek(g, 2 * run))
-            for done, r1, r2 in zip(count(1), rewards, rewards):
-                kg += 1
-                mg += (r1 - mg) / kg
-                kg += 1
-                mg += (r2 - mg) / kg
-                rad = rads[kg] if kg <= top else radius(m, kg, delta, scale)
-                lg, ug = mg - rad, mg + rad
-                if lg >= good_at or ug <= bad_at:
+            steps = zip(
+                count(1),
+                oracle.running_means(g, kg, mean[g], 2 * run)[1::2],
+                _radius_span(m, delta, scale, kg, 2 * run)[1::2],
+            )
+            for done, mg, rg in steps:
+                lg, ug = mg - rg, mg + rg
+                if not (lo_g <= lg < good_at and bad_at < ug <= hi_b):
                     break
-                if not (
-                    (lg > lcb_o or lg == lcb_o and g_before_o)
-                    and (ug < ucb_o or ug == ucb_o and b_before_o)
-                ):
-                    break
+            kg += 2 * done
             oracle.advance(g, 2 * done)
             ub = ug
         pulls[g], mean[g], neg_lcb[g], ucb[g] = kg, mg, -lg, ug

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from deadline import deadline
 
 from noisycc import Instance, load_instance, save_instance
 from noisycc.cli import CSV_COLUMNS, main
@@ -244,6 +245,45 @@ class TestBadRunInputs:
             capsys)
         assert line.startswith(f"noisycc: error: trial 0 (kcfc-seq): delta={float(delta)!r}"
                                " is too small for n=6: the bandit runs at delta / n")
+
+    @staticmethod
+    def planted_n10(tmp_path):
+        path = tmp_path / "planted.json"
+        run_main(["gen", "--kind", "planted", "--n", "10", "--k", "3", "--q", "0.1",
+                  "--seed", "0", "--out", str(path)])
+        return path
+
+    @pytest.mark.parametrize("algo", ["kcfc", "kcfc-seq"])
+    def test_radius_too_wide_to_ever_classify(self, algo, tmp_path, capsys):
+        # A Bernoulli mean lies in [0, 1]; this radius stays above
+        # 0.5 + epsilon for 2**63 pulls, so the bandit would never stop.
+        out = tmp_path / "res.csv"
+        with deadline(5):
+            line = self.usage_error(
+                ["run", "--algo", algo, "--instance", str(self.planted_n10(tmp_path)),
+                 "--epsilon", "1", "--delta", "0.1", "--radius-scale", "1e300",
+                 "--mc-replays", "5", "--out", str(out)], capsys)
+        assert line.startswith(f"noisycc: error: trial 0 ({algo}): radius_scale=1e+300 keeps")
+        assert "2**63 pulls" in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algo", ["uniform-fb", "kcfb"])
+    def test_budget_past_the_pull_counters(self, algo, tmp_path, capsys):
+        # floor(T / m) is about 2.2e21 pulls per pair, more than the oracle's
+        # int64 counters hold; drawing them would grow memory without end.
+        out = tmp_path / "res.csv"
+        with deadline(2):
+            line = self.usage_error(
+                ["run", "--algo", algo, "--instance", str(self.planted_n10(tmp_path)),
+                 "--epsilon", "1", "--budget", "99999999999999999999999",
+                 "--mc-replays", "5", "--out", str(out)], capsys)
+        assert line.startswith(
+            f"noisycc: error: trial 0 ({algo}): 2222222222222222222222 more pulls of pair"
+        )
+        assert line.endswith(
+            "cannot be counted: the oracle counts at most 9223372036854775807 pulls per pair"
+        )
+        assert not out.exists()
 
     def test_boolean_n(self, tmp_path, capsys):
         path = tmp_path / "bool.json"

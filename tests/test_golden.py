@@ -3,7 +3,10 @@
 The digests were recorded before the per-algorithm pivot loops were merged
 into one engine, the n = 10 ones before the exact optimum moved from
 set-partition enumeration to a subset DP, and the two at 500 replays before
-replayed pivot phases were memoised; any change to RNG consumption,
+replayed pivot phases were memoised, and the two Gaussian bandit cases
+(``*-gauss-n6``, the only ones that run the threshold bandit on a float
+tape) before the bandit read its running means from the tape's table;
+any change to RNG consumption,
 pivot order, query order, the exact optimum's tie-break or number formatting
 shows up here.
 """
@@ -26,6 +29,7 @@ INSTANCES = {
 }
 
 FC = ["--epsilon", "1.0", "--delta", "0.1"]
+GAUSS = ["--noise", "gaussian", "--sigma", "0.3"]
 
 CASES = {
     "kcfc-n6": ("n6", ["--algo", "kcfc", *FC, "--trials", "3", "--mc-replays", "20",
@@ -55,6 +59,10 @@ CASES = {
     "kcfb-n10-r500": ("n10", ["--algo", "kcfb", "--epsilon", "1.0", "--budget", "4500",
                               "--trials", "3", "--seed", "9"]),
     "kcfc-seq-n10-r500": ("n10", ["--algo", "kcfc-seq", *FC, "--trials", "2", "--seed", "10"]),
+    "kcfc-gauss-n6": ("n6", ["--algo", "kcfc", *FC, *GAUSS, "--trials", "3",
+                             "--mc-replays", "20", "--seed", "11"]),
+    "kcfc-seq-gauss-n6": ("n6", ["--algo", "kcfc-seq", *FC, *GAUSS, "--trials", "3",
+                                 "--mc-replays", "20", "--seed", "12"]),
 }
 
 EXPECTED_SHA256 = {
@@ -62,9 +70,11 @@ EXPECTED_SHA256 = {
     "kcfb-n10-r500": "f4d4e0ca0b38844729d88d9c75e654b00c7227a0ffdfee346f67a6cdfc53058c",
     "kcfb-n15": "00b206419a011ba01323359610c420d0c4e4a66e581fa35750819119400d4e8a",
     "kcfb-n6": "54123592fdb3669f7724243cb3009118c0f8ef268dbf2c5612a696da84b197a2",
+    "kcfc-gauss-n6": "0f3cc7ff236f404ebb257ae8cde04ff81ea8394c2f618d3d7105bb9540fc9ac0",
     "kcfc-n6": "b4e821c9d90e61ea5fdf194b83bbac1214e261a059e63cfed627ae95616f5554",
     "kcfc-seq-n15": "2e3938e90878f8db89348e81d3bd94992849c9d5def98c93d4a3aea9ba7986af",
     "kcfc-seq-n10-r500": "26a5a8db61273b3a8a94612138790dab0876ae025e2efc39e999c2b4d490b4b3",
+    "kcfc-seq-gauss-n6": "72ae0fc5c6c3f51d0be18dd486a1c40f8e49f707ba300c14c26985a0e08acfe0",
     "kcfc-seq-n6": "b6d48e3b69444dac5ed6290dcc95aed1bef251dd3e4b154d451c00eccde1b7f3",
     "uniform-fb-exact-n10": "793bcb5ea2100dfc9beec30105ad44752c3949e3afd399c510f117844574dcf7",
     "uniform-fb-n6": "09ca06130abb47343e08d6968f87973c82252b980a128721568174cc162182fe",

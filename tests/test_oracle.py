@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from deadline import deadline
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -616,3 +617,94 @@ class TestEmpiricalMean:
         assert o.pulls_report()[1].tolist() == [64]
         with pytest.raises(ParameterError, match="non-finite reward for pair 0"):
             o.empirical_mean(0)
+
+
+def scalar_fold(rewards, k=0, mu=0.0):
+    """The running means ``mu += (r - mu) / k``, one reward at a time."""
+    means = []
+    for r in rewards:
+        k += 1
+        mu += (r - mu) / k
+        means.append(mu)
+    return means
+
+
+def bits(floats):
+    return [x.hex() for x in floats]
+
+
+class TestRunningMeans:
+    """``running_means`` continues the scalar fold bit for bit, whether it
+    reads the tape's table or folds past it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        noise=st.sampled_from([None, NoiseModel("gaussian", sigma=0.3)]),
+        n=st.integers(2, 5),
+        sims=st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10),
+        seed=st.integers(0, 2**64 - 1),
+        runs=st.lists(st.sampled_from([0, 1, 7, 128, 511, 512, 513]) | st.integers(0, 700),
+                      min_size=1, max_size=4),
+        replay=st.booleans(),
+    )
+    def test_equals_the_scalar_fold(self, noise, n, sims, seed, runs, replay):
+        inst = Instance(n, sims[: num_pairs(n)])
+        base = Oracle(inst, noise, seed=seed)
+        o = base.replay() if replay else base
+        e = inst.m - 1
+        k, mu, got = 0, 0.0, []
+        for run in runs:
+            means = list(o.running_means(e, k, mu, run))
+            o.advance(e, run)
+            got += means
+            k, mu = k + run, means[-1] if means else mu
+        tape = o._tape
+        assert bits(got) == bits(scalar_fold(tape.read_floats(e, 0, k)))
+        # Every column of the table, for every pair.
+        m = inst.m
+        assert base._tape._means is tape._means
+        for pair in range(m):
+            column = list(tape._means[pair::m])
+            assert bits(column) == bits(scalar_fold(tape.read_floats(pair, 0, 512)))
+
+    @pytest.mark.parametrize("noise", NOISES)
+    def test_arm_entering_at_a_non_zero_count(self, noise):
+        # Arm 2 has 13 pulls; the fold starts at its 14th reward, as a
+        # bandit's does for an arm it first pulls there.
+        o = offset_oracle(noise)
+        first = o.running_means(2, 0, 0.0, 1)
+        assert bits(first) == bits(o._tape.read_floats(2, 13, 1))
+        expected = scalar_fold(o._tape.read_floats(2, 14, 600), 1, first[0])
+        o.advance(2, 1)
+        assert bits(o.running_means(2, 1, first[0], 600)) == bits(expected)
+        assert o.total_pulls == 25  # one advance, nothing else pulled
+
+    def test_invalid_pair(self):
+        with pytest.raises(InvalidPairError):
+            Oracle(Instance(5, STREAM_SIMS), seed=0).running_means(10, 0, 0.0, 5)
+
+
+class TestPullCountLimit:
+    """A read that would take a pair's count to 2**63 or more is rejected
+    before any draw: the oracle's int64 counters cannot record it."""
+
+    @pytest.mark.parametrize("read", [
+        lambda o: o.pull_means([0, 1], 2**63),
+        lambda o: o.pull_above([0, 1], 2**63),
+        lambda o: o.pull_means([0], 10**22),
+        lambda o: o.pull_many(1, 2**63),
+        lambda o: o.advance(1, 2**70),
+    ])
+    def test_rejected_before_any_draw(self, read):
+        o = Oracle(Instance(5, STREAM_SIMS), seed=0)
+        with deadline(2), pytest.raises(ParameterError, match="cannot be counted"):
+            read(o)
+        assert o.total_pulls == 0 and not o._tape._streams
+
+    def test_counts_up_to_the_int64_limit(self):
+        o = Oracle(Instance(5, STREAM_SIMS), seed=0)
+        o.advance(3, 2**63 - 2)
+        o.advance(3, 1)
+        with deadline(2), pytest.raises(ParameterError, match="1 more pulls of pair 3"):
+            o.pull(3)
+        assert o.pulls_report()[1][3] == 2**63 - 1

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from deadline import deadline
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from tbhs_reference import reference_tbhs
@@ -76,6 +77,32 @@ class TestConfig:
         # never stop.
         with pytest.raises(ParameterError, match="radius_scale"):
             TbhsConfig(0.1, 0.1, radius_scale=scale)
+
+
+class TestUnclassifiableRadius:
+    """A Bernoulli mean lies in [0, 1], so a radius that stays above
+    0.5 + epsilon for 2**63 pulls can never classify an arm."""
+
+    def test_bernoulli_rejected_before_any_pull(self):
+        inst = Instance(4, [0.9, 0.1, 0.9, 0.1, 0.9, 0.1])
+        oracle = Oracle(inst, seed=0)
+        with deadline(5), pytest.raises(ParameterError, match="2\\*\\*63 pulls"):
+            run_tbhs(oracle, range(6), TbhsConfig(0.1, 0.1, radius_scale=1e300))
+        assert oracle.total_pulls == 0
+
+    def test_boundary_scale(self):
+        # The radius at 2**63 - 1 pulls is about 2.3e-9 * scale here.
+        assert not tbhs._unclassifiable(45, TbhsConfig(0.1, 0.1, radius_scale=1e8))
+        assert tbhs._unclassifiable(45, TbhsConfig(0.1, 0.1, radius_scale=1e9))
+
+    def test_gaussian_means_are_unbounded(self):
+        # Rewards of spread 1e11 push the first means far past a radius of
+        # about 1.5e9, so the same config classifies every Gaussian arm.
+        inst = Instance(3, [0.9, 0.1, 0.9])
+        oracle = Oracle(inst, NoiseModel("gaussian", 1e11), seed=0)
+        with deadline(5):
+            out = run_tbhs(oracle, range(3), TbhsConfig(0.1, 0.1, radius_scale=1e9))
+        assert out.good | out.bad == frozenset(range(3))
 
 
 class TestRunTbhs:
@@ -220,6 +247,58 @@ class TestMatchesRoundAtATime:
         for i in range(tbhs._MEMO_KEYS + 5):
             run_tbhs(Oracle(inst, seed=i), [0], TbhsConfig(0.1, 0.1 / (i + 1)))
         assert len(tbhs._radii) <= tbhs._MEMO_KEYS
+
+
+def after_pulls(run, pulls):
+    """``run`` on an oracle whose arms were first pulled ``pulls[e]`` times each
+    with ``pull_many``: they enter the bandit at non-zero counts."""
+
+    def go(oracle, arms, config):
+        for e, k in pulls.items():
+            oracle.pull_many(e, k)
+        return run(oracle, arms, config)
+
+    return go
+
+
+def then_on_the_same_tape(run, arms, config):
+    """``run`` twice more after the first call: on the same oracle, whose
+    shared arms then enter at non-zero counts, and on a replay of it, whose
+    arms enter at count 0, over a tape the first call has read."""
+
+    def go(oracle, first_arms, first_config):
+        first = run(oracle, first_arms, first_config)
+        replayed = run(oracle.replay(), arms, config)
+        return first, replayed, run(oracle, arms, config)
+
+    return go
+
+
+class TestTableReadsMatchRoundAtATime:
+    """Bandits whose arms read means from the tape's table, from the scalar
+    fold, or from both, against ``tests/tbhs_reference.py``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(bandit_cases(), st.data())
+    def test_arms_pulled_before_the_bandit(self, case, data):
+        m = case[0].m
+        pulls = data.draw(st.dictionaries(
+            st.integers(0, m - 1), st.sampled_from([1, 2, 7, 300, 511, 512, 600]), max_size=m,
+        ))
+        assert (tbhs_outcome(after_pulls(run_tbhs, pulls), *case)
+                == tbhs_outcome(after_pulls(reference_tbhs, pulls), *case))
+
+    @settings(max_examples=60, deadline=None)
+    @given(bandit_cases(), st.data())
+    def test_two_calls_on_one_tape(self, case, data):
+        m = case[0].m
+        arms = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m))
+        config = TbhsConfig(
+            data.draw(st.floats(0.05, 0.3)), data.draw(st.sampled_from([0.01, 0.1])),
+            case[-1].radius_scale,
+        )
+        assert (tbhs_outcome(then_on_the_same_tape(run_tbhs, arms, config), *case)
+                == tbhs_outcome(then_on_the_same_tape(reference_tbhs, arms, config), *case))
 
 
 class TestPinnedOutputs:
