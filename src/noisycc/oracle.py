@@ -23,9 +23,10 @@ bandit), ``pull_means`` reads the mean of k pulls of each arm of a phase
 and ``advance``.  The tape keeps the count of ones of each Bernoulli pair
 that ``pull_above`` reads, which bounds the ones among its first k rewards,
 so ``pull_above`` decides most tests from it and draws new rewards only
-until the answer is settled.  The first time a bandit reads the tape, it
-draws the first ``_COLUMNS`` rewards of every pair and folds their running
-means into a table, which the tape's replays share.
+until the answer is settled.  On a tape of at most ``_TABLE_PAIRS`` pairs,
+the first time a bandit reads it, the tape draws the first ``_COLUMNS``
+rewards of every pair and folds their running means into a table, which
+the tape's replays share.
 
 No read may take a pair's pull count to 2**63 or more, which the int64
 counters cannot record; such a read is rejected before any draw.
@@ -34,7 +35,7 @@ counters cannot record; such a read is rejected before any draw.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -149,6 +150,11 @@ _UNPACK_BYTES = 1 << 10
 # The tape's table of running means covers each pair's first this many
 # rewards: 4 KiB per pair.
 _COLUMNS = 512
+# Only a tape of at most this many pairs keeps the table, 8 MiB.  The table
+# folds every pair, read or not, so on a larger tape it would cost memory
+# beyond the pairs a bandit reads: kcfc-seq reads about 40 % of them at
+# n = 120 and 10 replays.
+_TABLE_PAIRS = 1 << 11
 # A pair's pull count must fit the oracle's int64 counters.
 _MAX_PULLS = (1 << 63) - 1
 # Below this k, a mean of k Bernoulli rewards exceeds 0.5 exactly when
@@ -168,6 +174,16 @@ def _ones_in(packed: np.ndarray) -> int:
     # A copy: reading through a memoryview of the tape raised the peak RSS
     # of repeated n = 120 kcfb runs by about 0.5 MB.
     return int.from_bytes(packed.tobytes(), "little").bit_count()
+
+
+def _folded(rewards: Iterable[float], k: int, mu: float) -> Iterator[float]:
+    """The running means ``mu += (r - mu) / k`` after each of ``rewards``,
+    k counting on from ``k``, folded one reward at a time as they are
+    consumed: a bandit run reads only as far as the run goes."""
+    for r in rewards:
+        k += 1
+        mu += (r - mu) / k
+        yield mu
 
 
 class _Tape:
@@ -192,9 +208,10 @@ class _Tape:
     neither the growth rule, the byte rounding nor the pieces of ``_PIECE``
     draws change any reward.
 
-    ``running_means`` keeps a table of the running means of every pair's
-    first ``_COLUMNS`` rewards, 4 KiB per pair, built at its first read from
-    reward 0 and freed with the tape.
+    On a tape of at most ``_TABLE_PAIRS`` pairs, ``running_means`` keeps a
+    table of the running means of every pair's first ``_COLUMNS`` rewards,
+    4 KiB per pair, built at its first read from reward 0 and freed with
+    the tape.
     """
 
     def __init__(self, seed: int, sims: np.ndarray, noise: NoiseModel) -> None:
@@ -219,33 +236,27 @@ class _Tape:
         rows = _BIT_FLOATS.take(self._cover(e, end)[lo : (end + 7) >> 3], axis=0)
         return rows.ravel()[i - 8 * lo : end - 8 * lo].tolist()
 
-    def running_means(self, e: int, i: int, k: int, mu: float, run: int) -> Sequence[float]:
+    def running_means(self, e: int, i: int, k: int, mu: float, run: int) -> Iterable[float]:
         """The running means after each of rewards i, ..., i + run - 1 of
         pair e: ``mu += (r - mu) / k`` one reward at a time, with k counting
         on from ``k`` and the mean from ``mu``.
 
-        Where i == k the fold began at reward 0, so its means up to reward
-        ``_COLUMNS`` are the table's, the same floats; a run that lies in
-        the table is returned as a strided view of it.  Past the table, and
-        for a fold that began later, the means are folded here.
+        Where the tape keeps a table and i == k, the fold began at reward 0,
+        so its means up to reward ``_COLUMNS`` are the table's, the same
+        floats; a run that lies in the table is returned as a strided view
+        of it.  Past the table, and otherwise, the means are folded as they
+        are consumed.
         """
-        if i == k < _COLUMNS:
-            if self._means is None:
-                self._means = self._fold_means()
-            m = len(self.sims)
-            if k + run <= _COLUMNS:
-                return self._means[k * m + e : (k + run) * m + e : m]
-            means = self._means[k * m + e :: m].tolist()
-            i = k = _COLUMNS
-            run -= len(means)
-            mu = means[-1]
-        else:
-            means = []
-        for r in self.read_floats(e, i, run):
-            k += 1
-            mu += (r - mu) / k
-            means.append(mu)
-        return means
+        m = len(self.sims)
+        if m > _TABLE_PAIRS or not (i == k < _COLUMNS):
+            return _folded(self.read_floats(e, i, run), k, mu)
+        if self._means is None:
+            self._means = self._fold_means()
+        if k + run <= _COLUMNS:
+            return self._means[k * m + e : (k + run) * m + e : m]
+        means = self._means[k * m + e :: m]
+        rest = self.read_floats(e, _COLUMNS, k + run - _COLUMNS)
+        return chain(means, _folded(rest, _COLUMNS, means[-1]))
 
     def _fold_means(self) -> memoryview:
         """The table of running means, a flat view of floats whose entry
@@ -480,14 +491,15 @@ class Oracle:
         self._check((e,), 0)
         return self._tape.read_floats(e, self._counts.item(e), k)
 
-    def running_means(self, e: int, k: int, mu: float, run: int) -> Sequence[float]:
+    def running_means(self, e: int, k: int, mu: float, run: int) -> Iterable[float]:
         """Pair e's running means after each of its next ``run`` pulls,
         without pulling them: ``mu += (r - mu) / k`` one reward at a time,
         continuing ``mu``, the mean this fold gives after pair e's last ``k``
         pulls.
 
         An arm read from count 0 takes its first ``_COLUMNS`` means from the
-        tape's table, which its replays share; the same floats, bit for bit.
+        tape's table, where it keeps one, which its replays share; the same
+        floats, bit for bit.
         """
         self._check((e,), 0)
         return self._tape.running_means(e, self._counts.item(e), k, mu, run)

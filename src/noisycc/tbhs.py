@@ -30,11 +30,11 @@ Exactness rule: every round is computed with the arithmetic of a round on
 its own, the running mean ``mu + (r - mu) / k`` one reward at a time and
 radii from ``radius`` itself (memoised), never a cumulative sum over ``k``
 or a vectorised log.  The running means come from ``Oracle.running_means``:
-an arm's first 512 from its tape's table, which numpy folds across all
-pairs one reward at a time with float64 ``-``, ``/`` and ``+``, the same
-IEEE operations as the scalar fold, and the rest from the scalar fold
-itself.  One differing last bit can move an arm between the good and the
-bad set.
+on a tape of at most 2048 pairs, an arm's first 512 from the tape's table,
+which numpy folds across all pairs one reward at a time with float64 ``-``,
+``/`` and ``+``, the same IEEE operations as the scalar fold; the rest, and
+all of them on a larger tape, from the scalar fold itself.  One differing
+last bit can move an arm between the good and the bad set.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
 
 from .errors import NoSamplesError, ParameterError, UnboundedRadiusError
 from .instance import Instance, pair_mask
@@ -195,10 +195,7 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
     covered = bisect_left(arm_list, oracle.instance.m)
     if oracle.budget is not None:
         covered = min(covered, max(oracle.budget - oracle.total_pulls, 0))
-    mean = {}
-    for e in arm_list[:covered]:
-        mean[e] = oracle.running_means(e, 0, 0.0, 1)[0]
-        oracle.advance(e, 1)
+    mean = dict(zip(arm_list, oracle.pull_means(arm_list[:covered], 1).tolist()))
     if covered < m:
         oracle.pull(arm_list[covered])
     pulls = dict.fromkeys(arm_list, 1)
@@ -248,23 +245,16 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
                 _radius_span(m, delta, scale, kb, run),
             )
             # Against each other, the smaller pair index wins a tie.
-            if g < b:
-                for done, mg, rg, mb, rb in steps:
-                    lg, ub = mg - rg, mb + rb
-                    if not (
-                        lo_g <= lg < good_at and bad_at < ub <= hi_b
-                        and lg >= mb - rb and ub < mg + rg
-                    ):
-                        break
-            else:
-                for done, mg, rg, mb, rb in steps:
-                    lg, ub = mg - rg, mb + rb
-                    if not (
-                        lo_g <= lg < good_at and bad_at < ub <= hi_b
-                        and lg > mb - rb and ub <= mg + rg
-                    ):
-                        break
-            lb, ug = mb - rb, mg + rg
+            g_first = g < b
+            for done, mg, rg, mb, rb in steps:
+                lg, ub = mg - rg, mb + rb
+                lb, ug = mb - rb, mg + rg
+                if not (
+                    lo_g <= lg < good_at and bad_at < ub <= hi_b
+                    and (lg > lb or lg == lb and g_first)
+                    and (ub < ug or ub == ug and not g_first)
+                ):
+                    break
             kg += done
             kb += done
             oracle.advance(g, done)
@@ -274,7 +264,7 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
             # One arm holds both minima and is pulled twice per round.
             steps = zip(
                 count(1),
-                oracle.running_means(g, kg, mean[g], 2 * run)[1::2],
+                islice(oracle.running_means(g, kg, mean[g], 2 * run), 1, None, 2),
                 _radius_span(m, delta, scale, kg, 2 * run)[1::2],
             )
             for done, mg, rg in steps:

@@ -17,7 +17,7 @@ from noisycc import (
     ParameterError,
     num_pairs,
 )
-from noisycc.oracle import _PIECE, _UNPACK_BYTES, _WORD_BLOCK, _seed_words
+from noisycc.oracle import _PIECE, _TABLE_PAIRS, _UNPACK_BYTES, _WORD_BLOCK, _seed_words
 
 
 def one_pair_instance(s):
@@ -635,7 +635,7 @@ def bits(floats):
 
 class TestRunningMeans:
     """``running_means`` continues the scalar fold bit for bit, whether it
-    reads the tape's table or folds past it."""
+    reads the tape's table or folds past it or without it."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -672,12 +672,35 @@ class TestRunningMeans:
         # Arm 2 has 13 pulls; the fold starts at its 14th reward, as a
         # bandit's does for an arm it first pulls there.
         o = offset_oracle(noise)
-        first = o.running_means(2, 0, 0.0, 1)
+        first = list(o.running_means(2, 0, 0.0, 1))
         assert bits(first) == bits(o._tape.read_floats(2, 13, 1))
         expected = scalar_fold(o._tape.read_floats(2, 14, 600), 1, first[0])
         o.advance(2, 1)
         assert bits(o.running_means(2, 1, first[0], 600)) == bits(expected)
         assert o.total_pulls == 25  # one advance, nothing else pulled
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_table_only_on_a_tape_of_few_pairs(self, n):
+        # m = 2016 and 2080: the larger tape keeps no table and draws no
+        # pair that no bandit reads.
+        inst = Instance(n, np.random.default_rng(n).random(num_pairs(n)))
+        o = Oracle(inst, seed=3)
+        e = inst.m - 1
+        means = list(o.running_means(e, 0, 0.0, 600))
+        assert bits(means) == bits(scalar_fold(o._tape.read_floats(e, 0, 600)))
+        keeps = inst.m <= _TABLE_PAIRS
+        assert (o._tape._means is not None) == keeps
+        assert len(o._tape._streams) == (inst.m if keeps else 1)
+
+    def test_table_draws_the_first_rewards_of_every_pair(self):
+        # On a tape that keeps the table, a bandit's first read draws the
+        # first 512 rewards of every pair, so a non-finite Gaussian reward
+        # among them raises there, even in a pair it never reads.
+        noise = NoiseModel("gaussian", sigma=5e307)
+        inst = Instance(5, STREAM_SIMS)
+        assert np.isfinite(Oracle(inst, noise, seed=0).pull_many(0, 64)).all()
+        with pytest.raises(ParameterError, match="non-finite reward for pair 9"):
+            list(Oracle(inst, noise, seed=0).running_means(0, 0, 0.0, 1))
 
     def test_invalid_pair(self):
         with pytest.raises(InvalidPairError):
