@@ -122,7 +122,10 @@ def fb_error_bound(instance: Instance, budget: int, epsilon: float) -> float:
         raise ParameterError(f"budget must be >= 0, got {budget}")
     gap = fb_min_gap(instance, epsilon)
     n = instance.n
-    return min(1.0, 2.0 * n**3 * math.exp(-2.0 * budget * gap * gap / (n * n)))
+    try:
+        return min(1.0, 2.0 * n**3 * math.exp(-2.0 * budget * gap * gap / (n * n)))
+    except OverflowError:  # a budget past the float range: the limit, 0
+        return 0.0
 
 
 def success_check(cost_value: float, opt_value: float, epsilon: float, factor: float = 5.0) -> bool:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InstanceTooLargeError, InvalidClusteringError
+from .errors import InstanceTooLargeError, InvalidClusteringError, ParameterError
 from .instance import Instance, incident_pairs, num_pairs, pair_endpoints
 
 EXACT_MAX_N = 13
@@ -114,10 +114,14 @@ def mean_cost(
     instance: Instance, draw: Callable[[], np.ndarray], trials: int
 ) -> tuple[float, float]:
     """Mean and standard error (0 for one trial) of the cost of ``trials``
-    clusterings drawn by calling ``draw()``."""
+    clusterings drawn by calling ``draw()``; ParameterError, before any
+    draw, if the ``trials`` costs do not fit in memory."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    costs = np.empty(trials)
+    try:
+        costs = np.empty(trials)
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's dimension limit
+        raise ParameterError(f"cannot hold the costs of {trials} trials: {exc}") from None
     for t in range(trials):
         costs[t] = pairwise_cost(instance.sims, draw())
     mean = float(costs.mean())

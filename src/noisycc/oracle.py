@@ -19,14 +19,14 @@ Rewards are read three ways: ``running_means`` lists a pair's running means
 over its next rewards and ``advance`` counts them as pulled (the threshold
 bandit), ``pull_means`` reads the mean of k pulls of each arm of a phase
 (the uniform baselines), and ``pull_above`` whether each such mean exceeds
-0.5 (``kcfb``); ``pull`` and ``pull_many`` are conveniences over ``peek``
-and ``advance``.  The tape keeps the count of ones of each Bernoulli pair
-that ``pull_above`` reads, which bounds the ones among its first k rewards,
-so ``pull_above`` decides most tests from it and draws new rewards only
-until the answer is settled.  On a tape of at most ``_TABLE_PAIRS`` pairs,
-the first time a bandit reads it, the tape draws the first ``_COLUMNS``
-rewards of every pair and folds their running means into a table, which
-the tape's replays share.
+0.5 (``kcfb``); ``pull`` and ``pull_many`` return the rewards themselves,
+read by ``_Tape.rewards`` as is the bandit's fold past the table.  The tape
+keeps the count of ones of each Bernoulli pair that ``pull_above`` reads,
+which bounds the ones among its first k rewards, so ``pull_above`` decides
+most tests from it and draws new rewards only until the answer is settled.
+On a tape of at most ``_TABLE_PAIRS`` pairs, the first time a bandit reads
+it, the tape draws the first ``_COLUMNS`` rewards of every pair and folds
+their running means into a table, which the tape's replays share.
 
 No read may take a pair's pull count to 2**63 or more, which the int64
 counters cannot record; such a read is rejected before any draw.
@@ -128,12 +128,6 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
-# Row b: ``np.unpackbits`` of byte b as the floats 0.0 and 1.0.  Listing
-# Bernoulli rewards as rows of it makes no new float objects, which keeps
-# ``Oracle.peek`` as fast as on an unpacked tape.
-_BIT_FLOATS = np.array([0.0, 1.0], dtype=object)[
-    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-]
 # Seed words are derived for this many consecutive pairs at a time, the
 # first time a pair of the block is read, so a fresh oracle over millions of
 # pairs derives only the blocks its algorithm touches.
@@ -227,14 +221,14 @@ class _Tape:
         # Entry j * m + e: the running mean of pair e's first j + 1 rewards.
         self._means: memoryview | None = None
 
-    def read_floats(self, e: int, i: int, k: int) -> list[float]:
-        """Rewards i, ..., i + k - 1 of pair e as a list of floats."""
+    def rewards(self, e: int, i: int, k: int) -> np.ndarray:
+        """Rewards i, ..., i + k - 1 of pair e as a new float64 array."""
         end = i + k
         if not self.packed:
-            return self._cover(e, end)[i:end].tolist()
+            return self._cover(e, end)[i:end].copy()
         lo = i >> 3
-        rows = _BIT_FLOATS.take(self._cover(e, end)[lo : (end + 7) >> 3], axis=0)
-        return rows.ravel()[i - 8 * lo : end - 8 * lo].tolist()
+        bits = np.unpackbits(self._cover(e, end)[lo : (end + 7) >> 3])
+        return bits[i - 8 * lo : end - 8 * lo].astype(np.float64)
 
     def running_means(self, e: int, i: int, k: int, mu: float, run: int) -> Iterable[float]:
         """The running means after each of rewards i, ..., i + run - 1 of
@@ -249,35 +243,32 @@ class _Tape:
         """
         m = len(self.sims)
         if m > _TABLE_PAIRS or not (i == k < _COLUMNS):
-            return _folded(self.read_floats(e, i, run), k, mu)
+            return _folded(self.rewards(e, i, run).tolist(), k, mu)
         if self._means is None:
             self._means = self._fold_means()
         if k + run <= _COLUMNS:
             return self._means[k * m + e : (k + run) * m + e : m]
         means = self._means[k * m + e :: m]
-        rest = self.read_floats(e, _COLUMNS, k + run - _COLUMNS)
+        rest = self.rewards(e, _COLUMNS, k + run - _COLUMNS).tolist()
         return chain(means, _folded(rest, _COLUMNS, means[-1]))
 
     def _fold_means(self) -> memoryview:
         """The table of running means, a flat view of floats whose entry
         j * m + e is the running mean of pair e's first j + 1 rewards, for
-        every pair, folded a row at a time with numpy's float64 ``-``, ``/``
-        and ``+``, the same IEEE operations as the scalar
+        every pair, folded in place a row at a time with numpy's float64
+        ``-``, ``/`` and ``+``, the same IEEE operations as the scalar
         ``mu += (r - mu) / k``."""
         m = len(self.sims)
         table = np.empty((_COLUMNS, m))
-        if self.packed:
-            heads = [self._cover(e, _COLUMNS)[: _COLUMNS // 8] for e in range(m)]
-            # Eight rows of rewards at a time, as 0 and 1 bytes.
-            rewards = chain.from_iterable(
-                np.unpackbits(byte[None], axis=0) for byte in np.stack(heads, axis=1)
-            )
-        else:
-            heads = [self._cover(e, _COLUMNS)[:_COLUMNS] for e in range(m)]
-            rewards = np.stack(heads, axis=1, out=table)
+        # Draw every pair before reading any: 4 KiB reads interleaved with the
+        # draws fragmented the heap (bandit-mid peak RSS 42.0 -> 43.2 MB).
+        for e in range(m):
+            self._cover(e, _COLUMNS)
+        for e in range(m):
+            table[:, e] = self.rewards(e, 0, _COLUMNS)
         mu = np.zeros(m)
-        for j, (row, r) in enumerate(zip(table, rewards), 1):
-            np.subtract(r, mu, out=row)
+        for j, row in enumerate(table, 1):
+            row -= mu
             row /= j
             row += mu
             mu = row
@@ -443,8 +434,9 @@ class Oracle:
     def pull(self, e: int) -> float:
         """One noisy sample of pair e's similarity."""
         self._check((e,), 1)
-        reward = self.peek(e, 1)[0]
-        self.advance(e, 1)
+        i = self._counts.item(e)
+        reward = self._tape.rewards(e, i, 1).item(0)
+        self._tally(e, i, 1)
         return reward
 
     def pull_many(self, e: int, k: int) -> np.ndarray:
@@ -453,8 +445,9 @@ class Oracle:
         Raises before mutating anything if the budget cannot cover all k.
         """
         self._check((e,), k)
-        rewards = np.array(self.peek(e, k), dtype=np.float64)
-        self.advance(e, k)
+        i = self._counts.item(e)
+        rewards = self._tape.rewards(e, i, k)
+        self._tally(e, i, k)
         return rewards
 
     def pull_means(self, arms: Iterable[int], k: int) -> np.ndarray:
@@ -485,11 +478,6 @@ class Oracle:
             out[j] = read(e, i, k)
             self._tally(e, i, k)
         return out
-
-    def peek(self, e: int, k: int) -> list[float]:
-        """The next k rewards of pair e as floats, without pulling them."""
-        self._check((e,), 0)
-        return self._tape.read_floats(e, self._counts.item(e), k)
 
     def running_means(self, e: int, k: int, mu: float, run: int) -> Iterable[float]:
         """Pair e's running means after each of its next ``run`` pulls,

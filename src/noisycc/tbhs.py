@@ -197,7 +197,7 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
         covered = min(covered, max(oracle.budget - oracle.total_pulls, 0))
     mean = dict(zip(arm_list, oracle.pull_means(arm_list[:covered], 1).tolist()))
     if covered < m:
-        oracle.pull(arm_list[covered])
+        oracle.advance(arm_list[covered], 1)
     pulls = dict.fromkeys(arm_list, 1)
     rad = radius(m, 1, delta, scale)
     neg_lcb = {e: -(mu - rad) for e, mu in mean.items()}
@@ -220,8 +220,8 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
             run = min(run, (oracle.budget - oracle.total_pulls) // 2)
             if run == 0:
                 # Fewer than two pulls are left, so one of these raises.
-                oracle.pull(g)
-                oracle.pull(b)
+                oracle.advance(g, 1)
+                oracle.advance(b, 1)
         # The best other active arm on each side (suffix _o): its bounds stay
         # fixed during the run.
         other = _top(lcb_heap, neg_lcb, active, (g, b))

@@ -77,7 +77,10 @@ def uniform_fb_error_bound(alpha: float, m: int, pulls_per_pair: int, epsilon: f
     """Union-bound failure probability of the fixed-budget baseline, clamped to 1."""
     if m < 1 or pulls_per_pair < 0 or not epsilon > 0:
         raise ParameterError("need m >= 1, pulls_per_pair >= 0, epsilon > 0")
-    exponent = -2.0 * pulls_per_pair * epsilon * epsilon / ((alpha + 1.0) ** 2 * m * m)
+    try:
+        exponent = -2.0 * pulls_per_pair * epsilon * epsilon / ((alpha + 1.0) ** 2 * m * m)
+    except OverflowError:  # a pull count past the float range: the limit, 0
+        return 0.0
     return min(1.0, 2.0 * m * math.exp(exponent))
 
 

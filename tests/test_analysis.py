@@ -204,6 +204,10 @@ class TestFbErrorBound:
     def test_clamped_to_probability(self):
         assert fb_error_bound(THREE_ARM, 1, 0.12) == 1.0
 
+    def test_budget_past_the_float_range_is_the_limit(self):
+        # 2.0 * 10**400 raised OverflowError.
+        assert fb_error_bound(THREE_ARM, 10**400, 0.12) == 0.0
+
 
 class TestSuccessCheck:
     def test_exact_factor_boundary(self):

@@ -285,6 +285,33 @@ class TestBadRunInputs:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("algo", ["uniform-fb", "kcfb"])
+    def test_budget_past_the_float_range(self, algo, tmp_path, capsys):
+        # The error bound computed 2.0 * T and raised OverflowError before any trial.
+        out = tmp_path / "res.csv"
+        with deadline(2):
+            line = self.usage_error(
+                ["run", "--algo", algo, "--instance", str(self.planted_n10(tmp_path)),
+                 "--epsilon", "1", "--budget", str(10**400),
+                 "--mc-replays", "5", "--out", str(out)], capsys)
+        assert line.startswith(f"noisycc: error: trial 0 ({algo}): 2222222222")
+        assert line.endswith("the oracle counts at most 9223372036854775807 pulls per pair")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("replays", [10**18, 2**63])
+    def test_mc_replays_past_memory(self, replays, tmp_path, capsys):
+        # Allocating the replays' costs raised numpy's MemoryError or ValueError.
+        out = tmp_path / "res.csv"
+        with deadline(5):
+            line = self.usage_error(
+                ["run", "--algo", "kcfc", "--instance", str(self.planted_n10(tmp_path)),
+                 "--epsilon", "1", "--delta", "0.1", "--mc-replays", str(replays),
+                 "--out", str(out)], capsys)
+        assert line.startswith(
+            f"noisycc: error: trial 0 (kcfc): cannot hold the costs of {replays} trials"
+        )
+        assert not out.exists()
+
     def test_boolean_n(self, tmp_path, capsys):
         path = tmp_path / "bool.json"
         path.write_text(json.dumps({"n": True, "sims": []}))
@@ -463,6 +490,14 @@ class TestAnalyze:
         tilde = json.loads(fields["tilde_gaps"])
         assert tilde == pytest.approx([0.5, 0.5, 0.15])
         assert float(fields["fb_error_bound"]) == 1.0
+
+    def test_budget_past_the_float_range(self, tmp_path, capsys):
+        # fb_error_bound computed 2.0 * T and raised OverflowError.
+        path = tmp_path / "three.json"
+        save_instance(THREE_ARM, path)
+        run_main(["analyze", "--instance", str(path), "--epsilon", "0.2",
+                  "--budget", str(10**400)])
+        assert "fb_error_bound: 0.0\n" in capsys.readouterr().out
 
     def test_min_gap_at_narrow_epsilon(self, tmp_path, capsys):
         path = tmp_path / "three.json"

@@ -5,7 +5,10 @@ into one engine, the n = 10 ones before the exact optimum moved from
 set-partition enumeration to a subset DP, and the two at 500 replays before
 replayed pivot phases were memoised, and the two Gaussian bandit cases
 (``*-gauss-n6``, the only ones that run the threshold bandit on a float
-tape) before the bandit read its running means from the tape's table;
+tape) before the bandit read its running means from the tape's table, and
+the two at n = 70 (``*-n70``, m = 2,415, a tape too large for the table, so
+every running mean is folded from the tape's individual rewards) before
+those rewards were read as float64 arrays in place of lists of floats;
 any change to RNG consumption,
 pivot order, query order, the exact optimum's tie-break or number formatting
 shows up here.
@@ -26,6 +29,8 @@ INSTANCES = {
     # estimates lie in {0, 0.5, 1}, so uniform-fb's exact solve breaks ties too.
     "n10": ["--kind", "planted", "--n", "10", "--k", "3", "--q", "0.1",
             "--in-mean", "0.9", "--out-mean", "0.1", "--seed", "0"],
+    "n70": ["--kind", "planted", "--n", "70", "--k", "5", "--q", "0.1",
+            "--in-mean", "0.8", "--out-mean", "0.2", "--seed", "13"],
 }
 
 FC = ["--epsilon", "1.0", "--delta", "0.1"]
@@ -63,6 +68,11 @@ CASES = {
                              "--mc-replays", "20", "--seed", "11"]),
     "kcfc-seq-gauss-n6": ("n6", ["--algo", "kcfc-seq", *FC, *GAUSS, "--trials", "3",
                                  "--mc-replays", "20", "--seed", "12"]),
+    "kcfc-n70": ("n70", ["--algo", "kcfc", *FC, "--trials", "2", "--mc-replays", "10",
+                         "--seed", "14", "--solver", "kwik_restarts"]),
+    "kcfc-seq-n70": ("n70", ["--algo", "kcfc-seq", *FC, "--trials", "2",
+                             "--mc-replays", "10", "--seed", "15",
+                             "--solver", "kwik_restarts"]),
 }
 
 EXPECTED_SHA256 = {
@@ -71,10 +81,12 @@ EXPECTED_SHA256 = {
     "kcfb-n15": "00b206419a011ba01323359610c420d0c4e4a66e581fa35750819119400d4e8a",
     "kcfb-n6": "54123592fdb3669f7724243cb3009118c0f8ef268dbf2c5612a696da84b197a2",
     "kcfc-gauss-n6": "0f3cc7ff236f404ebb257ae8cde04ff81ea8394c2f618d3d7105bb9540fc9ac0",
+    "kcfc-n70": "1c7ae3d83b767354f3395c5c50d3d947708e9786f19946441c4cf53384970e81",
     "kcfc-n6": "b4e821c9d90e61ea5fdf194b83bbac1214e261a059e63cfed627ae95616f5554",
     "kcfc-seq-n15": "2e3938e90878f8db89348e81d3bd94992849c9d5def98c93d4a3aea9ba7986af",
     "kcfc-seq-n10-r500": "26a5a8db61273b3a8a94612138790dab0876ae025e2efc39e999c2b4d490b4b3",
     "kcfc-seq-gauss-n6": "72ae0fc5c6c3f51d0be18dd486a1c40f8e49f707ba300c14c26985a0e08acfe0",
+    "kcfc-seq-n70": "109e497df4edf8b11ae02fd4ef8863200579385db016713584e27965b9a3ce90",
     "kcfc-seq-n6": "b6d48e3b69444dac5ed6290dcc95aed1bef251dd3e4b154d451c00eccde1b7f3",
     "uniform-fb-exact-n10": "793bcb5ea2100dfc9beec30105ad44752c3949e3afd399c510f117844574dcf7",
     "uniform-fb-n6": "09ca06130abb47343e08d6968f87973c82252b980a128721568174cc162182fe",

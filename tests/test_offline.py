@@ -11,6 +11,7 @@ from noisycc import (
     Instance,
     InstanceTooLargeError,
     InvalidClusteringError,
+    ParameterError,
     brute_force_opt,
     cost,
     expected_cost_mc,
@@ -23,6 +24,7 @@ from noisycc.instance import pair_mask
 from noisycc.offline import (
     _subset_dp,
     _subset_min_plus,
+    mean_cost,
     min_cost_partition,
     pairwise_cost,
     pivot_cluster,
@@ -200,6 +202,15 @@ class TestExpectedCostMc:
         inst = Instance(2, [0.5])
         with pytest.raises(ValueError):
             expected_cost_mc(inst, inst.sims, 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("trials", [10**18, 2**63])
+    def test_trials_past_memory_fail_before_any_draw(self, trials):
+        # numpy's MemoryError at 10**18 and ValueError at 2**63 escaped.
+        def draw():
+            raise AssertionError("drew a clustering")
+
+        with pytest.raises(ParameterError, match=f"costs of {trials} trials"):
+            mean_cost(Instance(2, [0.5]), draw, trials)
 
 
 class TestPartitionEnumeration:

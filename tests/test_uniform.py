@@ -216,3 +216,7 @@ class TestUniformFb:
         small = uniform_fb_error_bound(1.0, 10, 10**4, 0.5)
         assert 0.0 < small < 1e-3
         assert uniform_fb_error_bound(1.0, 10, 10**5, 0.5) < small
+
+    def test_error_bound_past_the_float_range_is_the_limit(self):
+        # 2.0 * 10**400 raised OverflowError.
+        assert uniform_fb_error_bound(1.0, 10, 10**400, 0.5) == 0.0
