@@ -15,18 +15,21 @@ identical reward sequence per pair while keeping its own counters, so
 conditional expectations over the algorithm's internal randomness can be
 estimated with the noise realization held fixed.
 
-Rewards are read three ways: ``running_means`` lists a pair's running means
-over its next rewards and ``advance`` counts them as pulled (the threshold
-bandit), ``pull_means`` reads the mean of k pulls of each arm of a phase
-(the uniform baselines), and ``pull_above`` whether each such mean exceeds
-0.5 (``kcfb``); ``pull`` and ``pull_many`` return the rewards themselves,
-read by ``_Tape.rewards`` as is the bandit's fold past the table.  The tape
-keeps the count of ones of each Bernoulli pair that ``pull_above`` reads,
-which bounds the ones among its first k rewards, so ``pull_above`` decides
-most tests from it and draws new rewards only until the answer is settled.
-On a tape of at most ``_TABLE_PAIRS`` pairs, the first time a bandit reads
-it, the tape draws the first ``_COLUMNS`` rewards of every pair and folds
-their running means into a table, which the tape's replays share.
+Rewards are read three ways: ``first_means`` pulls each of a bandit's arms
+once, ``running_means`` lists a pair's running means over its next rewards
+and ``advance`` counts them as pulled (the threshold bandit), ``pull_means``
+reads the mean of k pulls of each arm of a phase (the uniform baselines, and
+the bandit's first pulls where ``first_means`` cannot serve them), and
+``pull_above`` whether each such mean exceeds 0.5 (``kcfb``); ``pull`` and
+``pull_many`` return the rewards themselves, read by ``_Tape.rewards`` as is
+the bandit's fold past the table.  The tape keeps the count of ones of each
+Bernoulli pair that ``pull_above`` reads, which bounds the ones among its
+first k rewards, so ``pull_above`` decides most tests from it and draws new
+rewards only until the answer is settled.  On a tape of at most
+``_TABLE_PAIRS`` pairs, the first time a bandit reads it, the tape draws the
+first ``_COLUMNS`` rewards of every pair, a block of pairs at a time, and
+folds their running means into a table, which the tape's replays share; its
+row 0, every pair's reward 0, is the bandit's first pulls.
 
 No read may take a pair's pull count to 2**63 or more, which the int64
 counters cannot record; such a read is rejected before any draw.
@@ -149,12 +152,31 @@ _COLUMNS = 512
 # beyond the pairs a bandit reads: kcfc-seq reads about 40 % of them at
 # n = 120 and 10 replays.
 _TABLE_PAIRS = 1 << 11
+# The table draws its rewards this many pairs at a time, into a float block
+# of 512 KiB.  Blocks of 256 pairs (1 MiB) raised bandit-mid's peak RSS by
+# 2.8 % over drawing pair by pair, blocks of 128 by 1.6 %.
+_TABLE_BLOCK = 1 << 7
 # A pair's pull count must fit the oracle's int64 counters.
 _MAX_PULLS = (1 << 63) - 1
 # Below this k, a mean of k Bernoulli rewards exceeds 0.5 exactly when
 # ``2 * ones > k``: (2 * ones - k) / (2 * k) is then more than half an ulp of
 # 0.5, so ``ones / k`` cannot round down to 0.5.
 _EXACT_K = 1 << 52
+# Error lines print counts of more digits than this by their size.
+_FULL_DIGITS = 24
+
+
+def _count(count: int) -> str:
+    """A count for an error line: in full up to ``_FULL_DIGITS`` digits,
+    else its first ten digits and its size, so that the line stays short.
+    The size is found without ``str``, which refuses more than 4,300 digits:
+    the estimate from the bit length is at most the true digit count."""
+    if count < 10**_FULL_DIGITS:
+        return str(count)
+    digits = int(count.bit_length() * math.log10(2))
+    while count >= 10**digits:
+        digits += 1
+    return f"{count // 10 ** (digits - 10)}... ({digits} digits)"
 
 
 def _ones_in(packed: np.ndarray) -> int:
@@ -202,10 +224,12 @@ class _Tape:
     neither the growth rule, the byte rounding nor the pieces of ``_PIECE``
     draws change any reward.
 
-    On a tape of at most ``_TABLE_PAIRS`` pairs, ``running_means`` keeps a
-    table of the running means of every pair's first ``_COLUMNS`` rewards,
-    4 KiB per pair, built at its first read from reward 0 and freed with
-    the tape.
+    On a tape of at most ``_TABLE_PAIRS`` pairs, ``table`` keeps a table of
+    the running means of every pair's first ``_COLUMNS`` rewards, 4 KiB per
+    pair, built at its first read and freed with the tape.  The build draws
+    the rewards of ``_TABLE_BLOCK`` undrawn pairs at a time with
+    ``Generator.random(out=row)`` (``standard_normal`` for Gaussian), the
+    same streams as ``_cover``'s draws, through the same ``_rewards_of``.
     """
 
     def __init__(self, seed: int, sims: np.ndarray, noise: NoiseModel) -> None:
@@ -241,31 +265,58 @@ class _Tape:
         of it.  Past the table, and otherwise, the means are folded as they
         are consumed.
         """
-        m = len(self.sims)
-        if m > _TABLE_PAIRS or not (i == k < _COLUMNS):
+        means = self.table() if i == k < _COLUMNS else None
+        if means is None:
             return _folded(self.rewards(e, i, run).tolist(), k, mu)
-        if self._means is None:
-            self._means = self._fold_means()
+        m = len(self.sims)
         if k + run <= _COLUMNS:
-            return self._means[k * m + e : (k + run) * m + e : m]
-        means = self._means[k * m + e :: m]
+            return means[k * m + e : (k + run) * m + e : m]
+        means = means[k * m + e :: m]
         rest = self.rewards(e, _COLUMNS, k + run - _COLUMNS).tolist()
         return chain(means, _folded(rest, _COLUMNS, means[-1]))
 
-    def _fold_means(self) -> memoryview:
+    def table(self) -> memoryview | None:
         """The table of running means, a flat view of floats whose entry
-        j * m + e is the running mean of pair e's first j + 1 rewards, for
-        every pair, folded in place a row at a time with numpy's float64
-        ``-``, ``/`` and ``+``, the same IEEE operations as the scalar
-        ``mu += (r - mu) / k``."""
+        j * m + e is the running mean of pair e's first j + 1 rewards, built
+        at the first call; None on a tape of more than ``_TABLE_PAIRS``
+        pairs.  Row 0, entries 0 to m - 1, holds every pair's reward 0."""
+        if self._means is None and len(self.sims) <= _TABLE_PAIRS:
+            self._means = self._fold_means()
+        return self._means
+
+    def _fold_means(self) -> memoryview:
+        """The table of running means of every pair, folded in place a row
+        at a time with numpy's float64 ``-``, ``/`` and ``+``, the same IEEE
+        operations as the scalar ``mu += (r - mu) / k``.
+
+        The first ``_COLUMNS`` rewards of the pairs that have no generator
+        yet are drawn ``_TABLE_BLOCK`` pairs at a time, each pair's into one
+        row of a float block: one compare and one ``np.packbits`` make the
+        rows the pairs' tapes, and one transposed copy the table's columns.
+        A block that holds a pair already drawn reads each of its pairs
+        from its tape instead.
+        """
         m = len(self.sims)
         table = np.empty((_COLUMNS, m))
-        # Draw every pair before reading any: 4 KiB reads interleaved with the
-        # draws fragmented the heap (bandit-mid peak RSS 42.0 -> 43.2 MB).
-        for e in range(m):
-            self._cover(e, _COLUMNS)
-        for e in range(m):
-            table[:, e] = self.rewards(e, 0, _COLUMNS)
+        # Bernoulli blocks share one scratch; a Gaussian block becomes the
+        # tapes of its pairs.
+        scratch = np.empty((min(m, _TABLE_BLOCK), _COLUMNS)) if self.packed else None
+        for lo in range(0, m, _TABLE_BLOCK):
+            hi = min(lo + _TABLE_BLOCK, m)
+            pairs = range(lo, hi)
+            if not self._rngs.keys().isdisjoint(pairs):
+                for e in pairs:
+                    table[:, e] = self.rewards(e, 0, _COLUMNS)
+                continue
+            rngs = [self._generator(e) for e in pairs]
+            draws = scratch[: hi - lo] if self.packed else np.empty((hi - lo, _COLUMNS))
+            for rng, row in zip(rngs, draws):
+                (rng.random if self.packed else rng.standard_normal)(out=row)
+            tapes = self._rewards_of(draws, self.sims[lo:hi, None], lo).reshape(hi - lo, -1)
+            self._rngs.update(zip(pairs, rngs))
+            self._streams.update(zip(pairs, tapes))
+            # Byte b of a row unpacks, along axis 0, to rows 8b to 8b + 7.
+            table[:, lo:hi] = np.unpackbits(tapes.T, axis=0) if self.packed else draws.T
         mu = np.zeros(m)
         for j, row in enumerate(table, 1):
             row -= mu
@@ -334,39 +385,57 @@ class _Tape:
             return buf
         rng = self._rngs.get(e)
         if rng is None:
-            block, row = divmod(e, _WORD_BLOCK)
-            words = self._word_blocks.get(block)
-            if words is None:
-                start = block * _WORD_BLOCK
-                pairs = np.arange(start, min(start + _WORD_BLOCK, len(self.sims)))
-                words = self._word_blocks[block] = _seed_words(self.seed, pairs)
-            seeded = _StateWords(words[row])
-            rng = self._rngs[e] = np.random.Generator(np.random.PCG64(seeded))
+            rng = self._rngs[e] = self._generator(e)
         grow = max(end - have, have, 64)
         s = self.sims[e]
         if self.packed:
             grow = -(-grow // 8) * 8
             if grow <= _PIECE:
-                fresh = np.packbits(rng.random(grow) < s)
+                fresh = self._rewards_of(rng.random(grow), s, e)
             else:
                 fresh = np.concatenate([
-                    np.packbits(rng.random(min(_PIECE, grow - j)) < s)
+                    self._rewards_of(rng.random(min(_PIECE, grow - j)), s, e)
                     for j in range(0, grow, _PIECE)
                 ])
             ones = self._ones.get(e)
             if ones is not None:
                 self._ones[e] = ones + _ones_in(fresh)
         else:
-            with np.errstate(over="ignore"):
-                fresh = s + self.noise.sigma * rng.standard_normal(grow)
-            if not np.isfinite(fresh).all():
-                raise ParameterError(
-                    f"gaussian noise with sigma={self.noise.sigma} drew a"
-                    f" non-finite reward for pair {e}"
-                )
+            fresh = self._rewards_of(rng.standard_normal(grow), s, e)
         buf = fresh if buf is None else np.concatenate([buf, fresh])
         self._streams[e] = buf
         return buf
+
+    def _generator(self, e: int) -> np.random.Generator:
+        """A new generator of pair e's stream, from the seed words of e's
+        block, derived the first time any pair of the block is read."""
+        block, row = divmod(e, _WORD_BLOCK)
+        words = self._word_blocks.get(block)
+        if words is None:
+            start = block * _WORD_BLOCK
+            pairs = np.arange(start, min(start + _WORD_BLOCK, len(self.sims)))
+            words = self._word_blocks[block] = _seed_words(self.seed, pairs)
+        return np.random.Generator(np.random.PCG64(_StateWords(words[row])))
+
+    def _rewards_of(self, draws: np.ndarray, s, first: int) -> np.ndarray:
+        """The rewards of pairs first, first + 1, ... from their raw draws,
+        one pair's per row of ``draws``, at similarities ``s``: Bernoulli
+        rewards are the uniform draws below s, bit-packed as one flat array
+        (rows of whole bytes pack in row order); Gaussian rewards are the
+        standard normal draws times sigma plus s, computed in ``draws``,
+        and a non-finite one raises, naming its pair."""
+        if self.packed:
+            return np.packbits(draws < s)
+        with np.errstate(over="ignore"):
+            draws *= self.noise.sigma
+            draws += s
+        finite = np.isfinite(draws).all(axis=-1)
+        if not finite.all():
+            raise ParameterError(
+                f"gaussian noise with sigma={self.noise.sigma} drew a"
+                f" non-finite reward for pair {first + int(np.argmin(finite))}"
+            )
+        return draws
 
 
 class Oracle:
@@ -417,13 +486,14 @@ class Oracle:
             for e in arms:
                 if self._counts.item(e) + k > _MAX_PULLS:
                     raise ParameterError(
-                        f"{k} more pulls of pair {e} cannot be counted: the oracle"
-                        f" counts at most {_MAX_PULLS} pulls per pair"
+                        f"{_count(k)} more pulls of pair {e} cannot be counted: the"
+                        f" oracle counts at most {_MAX_PULLS} pulls per pair"
                     )
         requested = k * len(arms)
         if self.budget is not None and self._total + requested > self.budget:
             raise BudgetExhaustedError(
-                f"budget {self.budget} exhausted: {self._total} used, {requested} requested"
+                f"budget {_count(self.budget)} exhausted: {_count(self._total)} used,"
+                f" {_count(requested)} requested"
             )
 
     def _tally(self, e: int, i: int, k: int) -> None:
@@ -479,6 +549,23 @@ class Oracle:
             self._tally(e, i, k)
         return out
 
+    def first_means(self, arms: Sequence[int]) -> list[float] | None:
+        """``pull_means(arms, 1).tolist()`` for distinct arms that have never
+        been pulled, bit for bit, with the same counters and errors, read
+        from row 0 of the tape's table: a mean of one reward is the reward.
+        None, with nothing pulled, on a tape that keeps no table or where an
+        arm repeats or has been pulled."""
+        if self._m > _TABLE_PAIRS:
+            return None
+        self._check(arms, 1)
+        pairs = np.array(arms, dtype=np.intp)
+        if self._counts[pairs].any() or len(set(arms)) < len(arms):
+            return None
+        means = self._tape.table()
+        self._counts[pairs] = 1
+        self._total += len(arms)
+        return [means[e] for e in arms]
+
     def running_means(self, e: int, k: int, mu: float, run: int) -> Iterable[float]:
         """Pair e's running means after each of its next ``run`` pulls,
         without pulling them: ``mu += (r - mu) / k`` one reward at a time,
@@ -489,7 +576,8 @@ class Oracle:
         tape's table, where it keeps one, which its replays share; the same
         floats, bit for bit.
         """
-        self._check((e,), 0)
+        if not 0 <= e < self._m:
+            self._check((e,), 0)  # raises
         return self._tape.running_means(e, self._counts.item(e), k, mu, run)
 
     def advance(self, e: int, k: int) -> None:
@@ -498,8 +586,16 @@ class Oracle:
 
         Raises before mutating anything if the budget cannot cover all k.
         """
-        self._check((e,), k)
-        self._tally(e, self._counts.item(e), k)
+        total = self._total + k
+        # Where no check of _check can fail, it is not called: the bandit
+        # advances twice per run.
+        if not (
+            0 <= e < self._m and 0 <= k and total <= _MAX_PULLS
+            and (self.budget is None or total <= self.budget)
+        ):
+            self._check((e,), k)
+        self._counts[e] = self._counts.item(e) + k
+        self._total = total
 
     def empirical_mean(self, e: int) -> float:
         """The mean of pair e's rewards pulled so far, summed from the tape."""

@@ -23,8 +23,9 @@ first round after which either arm is classified or the pair would no
 longer be selected: e_g must keep the (-LCB, index) minimum and e_b the
 (UCB, index) minimum, against each other and against the best other active
 arms, whose bounds are fixed for the run.  The oracle's counters and the
-heaps are updated once per run.  The result, the rounds and the oracle's
-counters equal those of a loop that selects and pulls one round at a time.
+heaps are updated once per run, and a run's radii are a slice of the radius
+memo.  The result, the rounds and the oracle's counters equal those of a
+loop that selects and pulls one round at a time.
 
 Exactness rule: every round is computed with the arithmetic of a round on
 its own, the running mean ``mu + (r - mu) / k`` one reward at a time and
@@ -33,8 +34,10 @@ or a vectorised log.  The running means come from ``Oracle.running_means``:
 on a tape of at most 2048 pairs, an arm's first 512 from the tape's table,
 which numpy folds across all pairs one reward at a time with float64 ``-``,
 ``/`` and ``+``, the same IEEE operations as the scalar fold; the rest, and
-all of them on a larger tape, from the scalar fold itself.  One differing
-last bit can move an arm between the good and the bad set.
+all of them on a larger tape, from the scalar fold itself.  The first pulls,
+where every arm is unpulled, are the table's row 0 (``Oracle.first_means``):
+a mean of one reward is the reward.  One differing last bit can move an arm
+between the good and the bad set.
 """
 
 from __future__ import annotations
@@ -117,20 +120,27 @@ def _unclassifiable(m: int, config: TbhsConfig) -> bool:
     return log_arg / (2.0 * k) > reach * reach
 
 
-def _radius_span(m: int, delta: float, scale: float, k: int, run: int) -> array:
-    """``radius(m, j, delta, scale)`` for j = k + 1, ..., k + run.
-
-    Counts up to ``_MEMO_COUNTS`` read the memo's table for (m, delta,
-    scale), ``[nan, radius(m, 1, ...), radius(m, 2, ...), ...]``, filled as
-    far as needed by calling ``radius`` itself; larger counts call it
-    directly.
-    """
+def _radii_memo(m: int, delta: float, scale: float) -> array:
+    """The memo's table for (m, delta, scale), ``[nan, radius(m, 1, ...),
+    radius(m, 2, ...), ...]``, filled as far as ``_radius_span`` has needed;
+    a new table drops the oldest one past ``_MEMO_KEYS``."""
     key = (m, delta, scale)
     table = _radii.get(key)
     if table is None:
         if len(_radii) >= _MEMO_KEYS:
             del _radii[next(iter(_radii))]
         table = _radii[key] = array("d", [math.nan])
+    return table
+
+
+def _radius_span(table: array, m: int, delta: float, scale: float, k: int, run: int) -> array:
+    """``radius(m, j, delta, scale)`` for j = k + 1, ..., k + run.
+
+    Counts up to ``_MEMO_COUNTS`` read ``table``, the memo's table for
+    (m, delta, scale), filled as far as needed by calling ``radius`` itself;
+    larger counts call it directly.  Where the table already holds them, the
+    bandit slices it itself.
+    """
     end = k + run
     upto = min(end, _MEMO_COUNTS)
     if len(table) <= upto:
@@ -191,14 +201,19 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
     # key still equals it selects the same arm as the live one.  The first
     # pulls are read up to the first arm that is not a pair index or that the
     # budget cannot cover; pulling that arm then raises where pulling arm by
-    # arm would.
+    # arm would.  Where every arm is covered and unpulled, they are row 0 of
+    # the tape's table, if it keeps one.
     covered = bisect_left(arm_list, oracle.instance.m)
     if oracle.budget is not None:
         covered = min(covered, max(oracle.budget - oracle.total_pulls, 0))
-    mean = dict(zip(arm_list, oracle.pull_means(arm_list[:covered], 1).tolist()))
-    if covered < m:
-        oracle.advance(arm_list[covered], 1)
+    first = oracle.first_means(arm_list) if covered == m else None
+    if first is None:
+        first = oracle.pull_means(arm_list[:covered], 1).tolist()
+        if covered < m:
+            oracle.advance(arm_list[covered], 1)
+    mean = dict(zip(arm_list, first))
     pulls = dict.fromkeys(arm_list, 1)
+    radii = _radii_memo(m, delta, scale)
     rad = radius(m, 1, delta, scale)
     neg_lcb = {e: -(mu - rad) for e, mu in mean.items()}
     ucb = {e: mu + rad for e, mu in mean.items()}
@@ -240,9 +255,11 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
             steps = zip(
                 count(1),
                 oracle.running_means(g, kg, mean[g], run),
-                _radius_span(m, delta, scale, kg, run),
+                radii[kg + 1 : kg + run + 1] if kg + run < len(radii)
+                else _radius_span(radii, m, delta, scale, kg, run),
                 oracle.running_means(b, kb, mean[b], run),
-                _radius_span(m, delta, scale, kb, run),
+                radii[kb + 1 : kb + run + 1] if kb + run < len(radii)
+                else _radius_span(radii, m, delta, scale, kb, run),
             )
             # Against each other, the smaller pair index wins a tie.
             g_first = g < b
@@ -265,7 +282,8 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
             steps = zip(
                 count(1),
                 islice(oracle.running_means(g, kg, mean[g], 2 * run), 1, None, 2),
-                _radius_span(m, delta, scale, kg, 2 * run)[1::2],
+                radii[kg + 2 : kg + 2 * run + 1 : 2] if kg + 2 * run < len(radii)
+                else _radius_span(radii, m, delta, scale, kg, 2 * run)[1::2],
             )
             for done, mg, rg in steps:
                 lg, ug = mg - rg, mg + rg

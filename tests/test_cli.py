@@ -298,6 +298,18 @@ class TestBadRunInputs:
         assert line.endswith("the oracle counts at most 9223372036854775807 pulls per pair")
         assert not out.exists()
 
+    @pytest.mark.parametrize("algo", ["uniform-fb", "kcfb"])
+    def test_count_past_the_float_range_is_printed_by_its_size(self, algo, tmp_path, capsys):
+        # The error line printed all 399 digits of the pull count.
+        with deadline(2):
+            line = self.usage_error(
+                ["run", "--algo", algo, "--instance", str(self.planted_n10(tmp_path)),
+                 "--epsilon", "1", "--budget", str(10**400), "--mc-replays", "5",
+                 "--out", str(tmp_path / "res.csv")], capsys)
+        assert len(line) < 200
+        assert line.startswith(f"noisycc: error: trial 0 ({algo}): 2222222222... (399 digits)"
+                               " more pulls of pair")
+
     @pytest.mark.parametrize("replays", [10**18, 2**63])
     def test_mc_replays_past_memory(self, replays, tmp_path, capsys):
         # Allocating the replays' costs raised numpy's MemoryError or ValueError.

@@ -8,7 +8,10 @@ replayed pivot phases were memoised, and the two Gaussian bandit cases
 tape) before the bandit read its running means from the tape's table, and
 the two at n = 70 (``*-n70``, m = 2,415, a tape too large for the table, so
 every running mean is folded from the tape's individual rewards) before
-those rewards were read as float64 arrays in place of lists of floats;
+those rewards were read as float64 arrays in place of lists of floats, and
+``kcfc-n64`` (planted n = 64, m = 2,016, the largest tape that keeps the
+table) before the table's rewards were drawn a block of pairs at a time and the
+bandit's first pulls read from its row 0;
 any change to RNG consumption,
 pivot order, query order, the exact optimum's tie-break or number formatting
 shows up here.
@@ -31,6 +34,8 @@ INSTANCES = {
             "--in-mean", "0.9", "--out-mean", "0.1", "--seed", "0"],
     "n70": ["--kind", "planted", "--n", "70", "--k", "5", "--q", "0.1",
             "--in-mean", "0.8", "--out-mean", "0.2", "--seed", "13"],
+    "n64": ["--kind", "planted", "--n", "64", "--k", "4", "--q", "0.1",
+            "--in-mean", "0.8", "--out-mean", "0.2", "--seed", "16"],
 }
 
 FC = ["--epsilon", "1.0", "--delta", "0.1"]
@@ -73,6 +78,8 @@ CASES = {
     "kcfc-seq-n70": ("n70", ["--algo", "kcfc-seq", *FC, "--trials", "2",
                              "--mc-replays", "10", "--seed", "15",
                              "--solver", "kwik_restarts"]),
+    "kcfc-n64": ("n64", ["--algo", "kcfc", *FC, "--trials", "2", "--mc-replays", "10",
+                         "--seed", "17", "--solver", "kwik_restarts"]),
 }
 
 EXPECTED_SHA256 = {
@@ -82,6 +89,7 @@ EXPECTED_SHA256 = {
     "kcfb-n6": "54123592fdb3669f7724243cb3009118c0f8ef268dbf2c5612a696da84b197a2",
     "kcfc-gauss-n6": "0f3cc7ff236f404ebb257ae8cde04ff81ea8394c2f618d3d7105bb9540fc9ac0",
     "kcfc-n70": "1c7ae3d83b767354f3395c5c50d3d947708e9786f19946441c4cf53384970e81",
+    "kcfc-n64": "ed0e66ff49a9fa8a640f01ba273da84cb58f29b432e5c8b6d385fde9a1fce8d4",
     "kcfc-n6": "b4e821c9d90e61ea5fdf194b83bbac1214e261a059e63cfed627ae95616f5554",
     "kcfc-seq-n15": "2e3938e90878f8db89348e81d3bd94992849c9d5def98c93d4a3aea9ba7986af",
     "kcfc-seq-n10-r500": "26a5a8db61273b3a8a94612138790dab0876ae025e2efc39e999c2b4d490b4b3",

@@ -80,6 +80,32 @@ class TestKcfc:
         assert report.epsilon_prime == pytest.approx(0.9 / (12 * 6), rel=1e-12)
         assert report.good_set_size == int(report.good_mask.sum())
 
+    def test_bandit_draws_each_pair_once(self, monkeypatch):
+        # n = 64, m = 2016: the tape keeps the table of running means.  Its
+        # build draws every pair's first 512 rewards in one draw, the first
+        # pulls are its row 0, and no arm here needs more pulls than that.
+        inst = generate(GeneratorSpec("planted", n=64, k=4, in_mean=0.9, out_mean=0.1, seed=3))
+        pivots = np.random.default_rng(3)
+        generators = []
+
+        class Counted(np.random.Generator):
+            def __init__(self, bit_generator):
+                super().__init__(bit_generator)
+                self.draws = 0
+                generators.append(self)
+
+            def random(self, *args, **kwargs):
+                self.draws += 1
+                return super().random(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Counted)
+        oracle = Oracle(inst, seed=3)
+        report = run_kcfc(oracle, 1.0, 0.1, pivots)
+        assert report.queries == oracle.total_pulls > inst.m
+        assert len(generators) == inst.m
+        assert all(g.draws == 1 for g in generators)
+        assert all(len(tape) == 512 // 8 for tape in oracle._tape._streams.values())
+
     def test_parameter_validation(self):
         inst = noiseless_planted(4, 2)
         with pytest.raises(ParameterError):

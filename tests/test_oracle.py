@@ -17,7 +17,14 @@ from noisycc import (
     ParameterError,
     num_pairs,
 )
-from noisycc.oracle import _PIECE, _TABLE_PAIRS, _UNPACK_BYTES, _WORD_BLOCK, _seed_words
+from noisycc.oracle import (
+    _PIECE,
+    _TABLE_BLOCK,
+    _TABLE_PAIRS,
+    _UNPACK_BYTES,
+    _WORD_BLOCK,
+    _seed_words,
+)
 
 
 def one_pair_instance(s):
@@ -649,6 +656,14 @@ def bits(floats):
     return [x.hex() for x in floats]
 
 
+def reference_rewards(seed, e, s, noise, k):
+    """Pair e's first k rewards, drawn from its own PCG64 stream."""
+    rng = reference_stream(seed, e)
+    if noise is None:
+        return (rng.random(k) < s).astype(np.float64).tolist()
+    return (s + noise.sigma * rng.standard_normal(k)).tolist()
+
+
 class TestRunningMeans:
     """``running_means`` continues the scalar fold bit for bit, whether it
     reads the tape's table or folds past it or without it."""
@@ -722,6 +737,78 @@ class TestRunningMeans:
         with pytest.raises(InvalidPairError):
             Oracle(Instance(5, STREAM_SIMS), seed=0).running_means(10, 0, 0.0, 5)
 
+    @pytest.mark.parametrize("noise", [None, NoiseModel("gaussian", sigma=0.3)])
+    def test_block_drawn_table_equals_the_scalar_fold(self, noise):
+        # m = 190 pairs, drawn in more than one block, every column against
+        # the scalar fold of the pair's own PCG64 stream.
+        inst = Instance(20, np.random.default_rng(20).random(num_pairs(20)))
+        seed = 0x9E3779B97F4A7C15
+        tape = Oracle(inst, noise, seed=seed)._tape
+        table = tape.table()
+        assert inst.m > _TABLE_BLOCK
+        for e in range(inst.m):
+            rewards = reference_rewards(seed, e, inst.sims[e], noise, 512)
+            assert bits(table[e :: inst.m]) == bits(scalar_fold(rewards))
+            assert bits(tape.rewards(e, 0, 512).tolist()) == bits(rewards)
+
+    @pytest.mark.parametrize("noise", [None, NoiseModel("gaussian", sigma=0.3)])
+    def test_reads_past_the_table_continue_the_stream(self, noise):
+        inst = Instance(20, np.random.default_rng(21).random(num_pairs(20)))
+        o = Oracle(inst, noise, seed=5)
+        e = 150
+        means = list(o.running_means(e, 0, 0.0, 700))
+        rewards = reference_rewards(5, e, inst.sims[e], noise, 1500)
+        assert bits(means) == bits(scalar_fold(rewards[:700]))
+        assert bits(o.replay().pull_many(e, 1500).tolist()) == bits(rewards)
+
+    def test_table_build_scratch_is_bounded(self):
+        # m = 2016, the most pairs a tape keeps the table for: the 7.9 MiB
+        # table, the pairs' tapes and generators, and one block of draws.
+        # Drawing all pairs' rewards as one float block would add 7.9 MiB.
+        inst = Instance(64, np.random.default_rng(64).random(num_pairs(64)))
+        o = Oracle(inst, seed=3)
+        tracemalloc.start()
+        try:
+            o._tape.table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+
+class TestFirstMeans:
+    """``first_means(arms)`` is ``pull_means(arms, 1).tolist()``, read from row
+    0 of the tape's table, or None with nothing pulled."""
+
+    @pytest.mark.parametrize("noise", NOISES)
+    def test_equals_one_pull_of_each_arm(self, noise):
+        inst = Instance(5, STREAM_SIMS)
+        a, b = Oracle(inst, noise, seed=9), Oracle(inst, noise, seed=9)
+        arms = [7, 0, 3, 9]
+        assert bits(a.first_means(arms)) == bits(b.pull_means(arms, 1).tolist())
+        assert a.total_pulls == b.total_pulls == 4
+        assert a.pulls_report()[1].tolist() == b.pulls_report()[1].tolist()
+
+    @pytest.mark.parametrize("arms", [[0, 1, 1], [2, 4]])
+    def test_none_for_a_repeated_or_pulled_arm(self, arms):
+        o = Oracle(Instance(5, STREAM_SIMS), seed=9)
+        o.advance(4, 1)
+        assert o.first_means(arms) is None
+        assert o.total_pulls == 1 and o._tape._means is None
+
+    def test_none_on_a_tape_without_table(self):
+        o = Oracle(Instance(65, np.full(num_pairs(65), 0.5)), seed=9)
+        assert o.first_means([0, 1]) is None
+        assert o.total_pulls == 0 and not o._tape._streams
+
+    def test_errors_before_any_draw(self):
+        o = Oracle(Instance(5, STREAM_SIMS), seed=9, budget=2)
+        with pytest.raises(BudgetExhaustedError):
+            o.first_means([0, 1, 2])
+        with pytest.raises(InvalidPairError):
+            o.first_means([0, 10])
+        assert o.total_pulls == 0 and not o._tape._streams
+
 
 class TestPullCountLimit:
     """A read that would take a pair's count to 2**63 or more is rejected
@@ -739,6 +826,24 @@ class TestPullCountLimit:
         with deadline(2), pytest.raises(ParameterError, match="cannot be counted"):
             read(o)
         assert o.total_pulls == 0 and not o._tape._streams
+
+    def test_long_counts_are_printed_by_their_size(self):
+        # Counts of more than 24 digits: their first ten digits and their size.
+        o = Oracle(Instance(5, STREAM_SIMS), seed=0, budget=10**24)
+        with pytest.raises(BudgetExhaustedError) as exc:
+            o.pull_means([0] * 300_000, 2**62)
+        assert str(exc.value) == (
+            "budget 1000000000... (25 digits) exhausted: 0 used,"
+            " 1383505805... (25 digits) requested"
+        )
+        for k, size in ((10**30, 31), (10**30 - 1, 30), (2**10000 - 1, 3011)):
+            with pytest.raises(ParameterError) as exc:
+                o.advance(1, k)
+            assert str(exc.value).startswith(f"{str(k)[:10]}... ({size} digits) more pulls")
+        # Past the 4,300 digits that str() converts.
+        with pytest.raises(ParameterError, match=r"^1000000000\.\.\. \(5001 digits\) more"):
+            o.advance(1, 10**5000)
+        assert o.total_pulls == 0
 
     def test_counts_up_to_the_int64_limit(self):
         o = Oracle(Instance(5, STREAM_SIMS), seed=0)
