@@ -6,7 +6,11 @@ Raw noise draws come from per-pair substreams: pair ``e`` reads the PCG64
 stream of ``SeedSequence(entropy=seed, spawn_key=(e,))``, so the pull order
 across pairs never changes any pair's reward sequence.  The seed words of
 a block of pairs are derived at once, by running SeedSequence's hash over
-arrays, when the first pair of the block is read.
+arrays, when the first pair of the block is read.  A Bernoulli reward is
+one 64-bit output of its pair's stream, so each growth of a Bernoulli pair
+rebuilds its generator from the seed words and jumps it to the tape's end
+with ``PCG64.advance``; a Gaussian pair keeps its generator, since
+``standard_normal`` rejects some outputs and no jump count finds its place.
 
 Rewards are memoized on a shared tape (Bernoulli rewards bit-packed,
 Gaussian rewards as floats), the one record of them: an oracle keeps only
@@ -214,22 +218,30 @@ class _Tape:
     ``[o - max(h - k, 0), min(o, k) + max(k - h, 0)]``, and ``above`` answers
     ``2 * ones > k`` (the test ``ones / k > 0.5`` for k below ``_EXACT_K``)
     from these bounds when they settle it, growing the tape only as far as
-    needed to settle it.  Pair e's generator is ``Generator(PCG64(words))``,
-    built when the pair is first read, with the words of
-    ``SeedSequence(entropy=seed, spawn_key=(e,))``.  ``_seed_words`` derives
-    them for the ``_WORD_BLOCK`` pairs of e's block at once, the first time
-    any pair of the block is read, and the tape keeps them for its replays.
-    A tape grows at least by doubling.  numpy's ``random`` and
-    ``standard_normal`` streams do not depend on how the draws are split, so
-    neither the growth rule, the byte rounding nor the pieces of ``_PIECE``
-    draws change any reward.
+    needed to settle it.  Pair e's generator is ``Generator(PCG64(words))``
+    with the words of ``SeedSequence(entropy=seed, spawn_key=(e,))``.
+    ``_seed_words`` derives them for the ``_WORD_BLOCK`` pairs of e's block
+    at once, the first time any pair of the block is read, and the tape
+    keeps them for its replays.  A Bernoulli tape keeps no generator, which
+    would cost about 780 bytes a pair: each of its rewards is one ``random``
+    draw, one 64-bit PCG64 output, so every growth builds the pair's
+    generator anew and jumps it past the h rewards on the tape with
+    ``bit_generator.advance(h)``.  A Gaussian tape keeps its pairs'
+    generators: ``standard_normal`` rejects a varying number of outputs, so
+    no jump count finds the end of its tape.  A Gaussian growth that draws a
+    non-finite reward forgets the pair's tape and generator, so that its
+    next read draws the stream from reward 0 again.  A tape grows at least
+    by doubling.  numpy's ``random`` and ``standard_normal`` streams do not
+    depend on how the draws are split, so neither the growth rule, the byte
+    rounding nor the pieces of ``_PIECE`` draws change any reward.
 
     On a tape of at most ``_TABLE_PAIRS`` pairs, ``table`` keeps a table of
     the running means of every pair's first ``_COLUMNS`` rewards, 4 KiB per
     pair, built at its first read and freed with the tape.  The build draws
     the rewards of ``_TABLE_BLOCK`` undrawn pairs at a time with
     ``Generator.random(out=row)`` (``standard_normal`` for Gaussian), the
-    same streams as ``_cover``'s draws, through the same ``_rewards_of``.
+    same streams as ``_cover``'s draws, through the same ``_rewards_of``;
+    a Bernoulli block's generators are dropped once it is drawn.
     """
 
     def __init__(self, seed: int, sims: np.ndarray, noise: NoiseModel) -> None:
@@ -241,6 +253,7 @@ class _Tape:
         self._streams: dict[int, np.ndarray] = {}
         # Ones on the tape of each pair that ``above`` has read.
         self._ones: dict[int, int] = {}
+        # Each Gaussian pair's generator, at the end of its tape.
         self._rngs: dict[int, np.random.Generator] = {}
         # Entry j * m + e: the running mean of pair e's first j + 1 rewards.
         self._means: memoryview | None = None
@@ -289,8 +302,8 @@ class _Tape:
         at a time with numpy's float64 ``-``, ``/`` and ``+``, the same IEEE
         operations as the scalar ``mu += (r - mu) / k``.
 
-        The first ``_COLUMNS`` rewards of the pairs that have no generator
-        yet are drawn ``_TABLE_BLOCK`` pairs at a time, each pair's into one
+        The first ``_COLUMNS`` rewards of the pairs that have no tape yet
+        are drawn ``_TABLE_BLOCK`` pairs at a time, each pair's into one
         row of a float block: one compare and one ``np.packbits`` make the
         rows the pairs' tapes, and one transposed copy the table's columns.
         A block that holds a pair already drawn reads each of its pairs
@@ -304,7 +317,7 @@ class _Tape:
         for lo in range(0, m, _TABLE_BLOCK):
             hi = min(lo + _TABLE_BLOCK, m)
             pairs = range(lo, hi)
-            if not self._rngs.keys().isdisjoint(pairs):
+            if not self._streams.keys().isdisjoint(pairs):
                 for e in pairs:
                     table[:, e] = self.rewards(e, 0, _COLUMNS)
                 continue
@@ -313,7 +326,8 @@ class _Tape:
             for rng, row in zip(rngs, draws):
                 (rng.random if self.packed else rng.standard_normal)(out=row)
             tapes = self._rewards_of(draws, self.sims[lo:hi, None], lo).reshape(hi - lo, -1)
-            self._rngs.update(zip(pairs, rngs))
+            if not self.packed:
+                self._rngs.update(zip(pairs, rngs))
             self._streams.update(zip(pairs, tapes))
             # Byte b of a row unpacks, along axis 0, to rows 8b to 8b + 7.
             table[:, lo:hi] = np.unpackbits(tapes.T, axis=0) if self.packed else draws.T
@@ -383,12 +397,14 @@ class _Tape:
         have = 0 if buf is None else len(buf) << 3 if self.packed else len(buf)
         if buf is not None and end <= have:
             return buf
-        rng = self._rngs.get(e)
-        if rng is None:
-            rng = self._rngs[e] = self._generator(e)
         grow = max(end - have, have, 64)
         s = self.sims[e]
         if self.packed:
+            # Each reward is one 64-bit output of the stream, so a jump of
+            # ``have`` outputs lands on the tape's end.
+            rng = self._generator(e)
+            if have:
+                rng.bit_generator.advance(have)
             grow = -(-grow // 8) * 8
             if grow <= _PIECE:
                 fresh = self._rewards_of(rng.random(grow), s, e)
@@ -401,7 +417,16 @@ class _Tape:
             if ones is not None:
                 self._ones[e] = ones + _ones_in(fresh)
         else:
-            fresh = self._rewards_of(rng.standard_normal(grow), s, e)
+            rng = self._rngs.get(e) or self._generator(e)
+            try:
+                fresh = self._rewards_of(rng.standard_normal(grow), s, e)
+            except ParameterError:
+                # The generator has moved past the tape's end: forget both,
+                # so that the pair's next read draws its stream from reward 0.
+                self._rngs.pop(e, None)
+                self._streams.pop(e, None)
+                raise
+            self._rngs[e] = rng
         buf = fresh if buf is None else np.concatenate([buf, fresh])
         self._streams[e] = buf
         return buf

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from deadline import deadline
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisycc import (
@@ -17,6 +17,7 @@ from noisycc import (
     ParameterError,
     num_pairs,
 )
+from noisycc.cli import main
 from noisycc.oracle import (
     _PIECE,
     _TABLE_BLOCK,
@@ -96,6 +97,21 @@ class TestGaussianRewards:
         with pytest.raises(ParameterError, match="non-finite reward for pair 0"):
             o.pull_many(0, 64)
         assert o.total_pulls == 0
+
+    def test_non_finite_growth_keeps_the_stream(self):
+        # sigma * N(0, 1) overflows for |N| > 3.6: a growth of 10**5 draws
+        # meets such a draw, the first 128 draws do not.  A growth that
+        # raises must leave the pair's next reads where they were.
+        sigma = 5e307
+        o = Oracle(one_pair_instance(0.5), NoiseModel("gaussian", sigma=sigma), seed=0)
+        expected = 0.5 + sigma * reference_stream(0, 0).standard_normal(70)
+        with pytest.raises(ParameterError, match="non-finite reward for pair 0"):
+            o.pull_many(0, 100_000)
+        assert np.array_equal(o.pull_many(0, 5), expected[:5])
+        with pytest.raises(ParameterError, match="non-finite reward for pair 0"):
+            o.pull_many(0, 100_000)
+        assert np.array_equal(o.pull_many(0, 65), expected[5:])
+        assert o.total_pulls == 70
 
 
 class TestStreams:
@@ -852,3 +868,125 @@ class TestPullCountLimit:
         with deadline(2), pytest.raises(ParameterError, match="1 more pulls of pair 3"):
             o.pull(3)
         assert o.pulls_report()[1][3] == 2**63 - 1
+
+
+# Read lengths that end a growth at the table's 512 rewards, around a piece
+# of _PIECE draws and off a byte boundary, and anything.
+POSITION_KS = st.sampled_from(
+    [1, 7, 9, 63, 65, 511, 512, 513, _PIECE - 1, _PIECE + 1, 2 * _PIECE + 3]
+) | st.integers(1, 1500)
+POSITION_ARMS = st.lists(st.integers(0, 2), min_size=1, max_size=3)
+POSITION_READS = st.lists(
+    st.tuples(st.just("many"), st.integers(0, 2), POSITION_KS)
+    | st.tuples(st.sampled_from(["means", "above"]), POSITION_ARMS, POSITION_KS)
+    | st.tuples(st.just("first"), POSITION_ARMS, st.just(1))
+    | st.tuples(st.just("running"), st.integers(0, 2), st.sampled_from([0, 1, 511, 512, 513])
+                | st.integers(0, 1500))
+    | st.tuples(st.just("replay"), st.just(0), st.just(0)),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestStreamPositions:
+    """However a Bernoulli tape has grown, by whichever reads and across
+    replays, every reward read is pair e's stream at its position."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sims=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        seed=st.integers(0, 2**64 - 1),
+        reads=POSITION_READS,
+    )
+    # Growths after the table, after one drawn in pieces, after a partial
+    # pull_above growth and after a replay.
+    @example(sims=[0.5, 0.9, 0.3], seed=2**64 - 1, reads=[
+        ("running", 0, 1), ("many", 0, 2 * _PIECE + 3), ("many", 0, 9), ("means", [0, 1], 9),
+        ("above", [1], 5000), ("replay", 0, 0), ("many", 1, 6000), ("above", [0, 2], 3 * _PIECE),
+    ])
+    def test_every_read_is_the_reference_stream(self, sims, seed, reads):
+        streams = {}
+
+        def expected(e, i, k):
+            if e not in streams or len(streams[e]) < i + k:
+                rewards = reference_stream(seed, e).random(i + k) < sims[e]
+                streams[e] = rewards.astype(np.float64)
+            return streams[e][i : i + k]
+
+        o = Oracle(Instance(3, sims), seed=seed)
+        for read, arg, k in reads:
+            counts = o.pulls_report()[1].tolist()
+            if read == "many":
+                assert np.array_equal(o.pull_many(arg, k), expected(arg, counts[arg], k))
+            elif read in ("means", "above"):
+                means = []
+                for e in arg:
+                    means.append(expected(e, counts[e], k).sum() / k)
+                    counts[e] += k
+                if read == "means":
+                    assert o.pull_means(arg, k).tolist() == means
+                else:
+                    assert o.pull_above(arg, k).tolist() == [mu > 0.5 for mu in means]
+            elif read == "first":
+                fresh = len(set(arg)) == len(arg) and not any(counts[e] for e in arg)
+                firsts = [expected(e, 0, 1)[0] for e in arg] if fresh else None
+                assert o.first_means(arg) == firsts
+            elif read == "running":
+                # The fold from reward 0 where the table holds it, else from
+                # the arm's count on, as for an arm a bandit enters late.
+                i = counts[arg]
+                start = i if i < 512 else 0
+                mu = scalar_fold(expected(arg, 0, i).tolist())[-1] if start else 0.0
+                rewards = expected(arg, i, k).tolist()
+                means = list(o.running_means(arg, start, mu, k))
+                assert bits(means) == bits(scalar_fold(rewards, start, mu))
+                o.advance(arg, k)
+            else:
+                o = o.replay()
+        tape = o._tape
+        assert not tape._rngs
+        for e, buf in tape._streams.items():
+            on_tape = tape.rewards(e, 0, 8 * len(buf))
+            assert np.array_equal(on_tape, expected(e, 0, 8 * len(buf)))
+            if e in tape._ones:
+                assert tape._ones[e] == on_tape.sum()
+
+
+class TestTapeMemory:
+    """A Bernoulli tape keeps each read pair's packed bits and ones count,
+    and no generator: a growth rebuilds the pair's generator from its seed
+    words and jumps it to the tape's end."""
+
+    def test_kcfb_trial_at_n_120(self, tmp_path):
+        # One planted n = 120 kcfb trial, T = 100 m, with 100 MC replays:
+        # tracemalloc's peak was 12.2 MiB while the tape kept a Generator
+        # for each pair read, and is 7.0 MiB without them (Python 3.11,
+        # numpy 2.4).
+        path = str(tmp_path / "n120.json")
+        assert main(["gen", "--kind", "planted", "--n", "120", "--k", "4", "--q", "0.1",
+                     "--seed", "0", "--out", path]) == 0
+        argv = ["run", "--algo", "kcfb", "--epsilon", "1.0", "--budget", str(100 * num_pairs(120)),
+                "--mc-replays", "100", "--solver", "kwik_restarts", "--trials", "1",
+                "--seed", "1", "--instance", path, "--out", str(tmp_path / "run.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 2**20
+
+    @pytest.mark.parametrize("noise", NOISES)
+    def test_only_gaussian_tapes_keep_generators(self, noise):
+        # A Gaussian tape keeps its pairs' generators: standard_normal
+        # rejects some draws, so no jump finds the tape's end in the stream.
+        o = Oracle(Instance(5, STREAM_SIMS), noise, seed=4)
+        o.pull_many(1, 100)
+        o.pull_means([2, 3], 700)
+        o.pull_above([4], 5000)
+        list(o.running_means(0, 0, 0.0, 600))
+        o.replay().pull_many(1, 300)
+        tape = o._tape
+        assert len(tape._streams) == len(STREAM_SIMS)
+        kept = [type(rng) for rng in tape._rngs.values()]
+        assert kept == ([] if noise is None else [np.random.Generator] * len(STREAM_SIMS))
