@@ -101,10 +101,9 @@ def _mc_expected_cost(
         # Uniform baselines: the estimate is fixed, only the solver may be random.
         return offline.cost(instance, report.clustering), 0.0
     else:
-        shat = np.array([oracle.empirical_mean(e) for e in range(instance.m)])
-
+        # The run's own estimates: the solver's restarts are all that vary.
         def draw():
-            return solver.solve(shat, instance.n, rng)
+            return solver.solve(report.estimates, instance.n, rng)
     return offline.mean_cost(instance, draw, replays)
 
 

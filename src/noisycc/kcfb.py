@@ -34,6 +34,9 @@ class FbReport:
     queries_used: int
     phases: int
     tau_schedule: list[int] = field(default_factory=list)
+    # The uniform baselines' estimated similarities, one mean per pair (empty
+    # at n = 1), which MC replays hand to the solver again.  None for kcfb.
+    estimates: np.ndarray | None = None
 
 
 def next_tau(tau_r: int, v_r: int, v_r1: int) -> int:

@@ -36,6 +36,8 @@ class FcReport:
     # replay the pivot stage without re-querying.  None when there is no
     # single such set.
     good_mask: np.ndarray | None = None
+    # The uniform baseline's estimated similarities (see FbReport).
+    estimates: np.ndarray | None = None
 
 
 def _validate(epsilon: float, delta: float) -> None:

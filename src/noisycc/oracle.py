@@ -29,11 +29,15 @@ the bandit's first pulls where ``first_means`` cannot serve them), and
 the bandit's fold past the table.  The tape keeps the count of ones of each
 Bernoulli pair that ``pull_above`` reads, which bounds the ones among its
 first k rewards, so ``pull_above`` decides most tests from it and draws new
-rewards only until the answer is settled.  On a tape of at most
-``_TABLE_PAIRS`` pairs, the first time a bandit reads it, the tape draws the
-first ``_COLUMNS`` rewards of every pair, a block of pairs at a time, and
-folds their running means into a table, which the tape's replays share; its
-row 0, every pair's reward 0, is the bandit's first pulls.
+rewards only until the answer is settled.  Both phase reads, of at most
+``_ROW_CAP`` pulls, draw the first rewards of their arms that have no
+Bernoulli tape yet as blocks of pairs, each pair's stream into one row of a
+float block; PCG64 streams are independent of where they are drawn, so a
+row holds the same rewards as the pair's own growth would.  On a tape of at most ``_TABLE_PAIRS`` pairs, the
+first time a bandit reads it, the tape draws the first ``_COLUMNS`` rewards
+of every pair by the same block draw, and folds their running means into a
+table, which the tape's replays share; its row 0, every pair's reward 0, is
+the bandit's first pulls.
 
 No read may take a pair's pull count to 2**63 or more, which the int64
 counters cannot record; such a read is rejected before any draw.
@@ -130,7 +134,9 @@ class _StateWords(ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        # PCG64 passes the type np.uint64 itself: the identity test spares
+        # each generator build the cost of np.dtype.
+        if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
             raise ValueError("only PCG64's request for four uint64 words is served")
         return self.words
 
@@ -140,8 +146,7 @@ class _StateWords(ISeedSequence):
 # pairs derives only the blocks its algorithm touches.
 _WORD_BLOCK = 4096
 # A Bernoulli growth longer than this is drawn in pieces of this many
-# rewards (whole bytes), so its float scratch stays at 512 KiB; shorter
-# growths, nearly all of them, skip the piece loop's per-growth cost.
+# rewards (whole bytes), so its float scratch stays at 512 KiB.
 _PIECE = 1 << 16
 # Bernoulli spans of more bytes than this are counted by unpacking them to
 # one byte per reward, ``_PIECE`` rewards at a time so that the scratch
@@ -160,6 +165,19 @@ _TABLE_PAIRS = 1 << 11
 # of 512 KiB.  Blocks of 256 pairs (1 MiB) raised bandit-mid's peak RSS by
 # 2.8 % over drawing pair by pair, blocks of 128 by 1.6 %.
 _TABLE_BLOCK = 1 << 7
+# A first growth draws at least this many rewards.
+_FIRST_DRAW = 64
+# A phase read of k pulls, k at most this, draws the first k rewards (at
+# least ``_FIRST_DRAW``, whole bytes) of each never-drawn Bernoulli arm in
+# blocks.  Above it each arm draws on its own, as far as its answer needs:
+# rows capped at this length made most such arms grow a second time, and
+# n = 120 kcfb jobs ran about 2.5 % slower than with no block for them.
+_ROW_CAP = 1 << 10
+# A phase read's blocks fill a float scratch of at most this many rewards,
+# 32 KiB, so at least four rows.  A scratch of 512 KiB was no faster and
+# raised the peak RSS of a run of n = 120 kcfb and uniform-fb jobs by about
+# 0.4 MB; this one leaves it level.
+_PHASE_FLOATS = 1 << 12
 # A pair's pull count must fit the oracle's int64 counters.
 _MAX_PULLS = (1 << 63) - 1
 # Below this k, a mean of k Bernoulli rewards exceeds 0.5 exactly when
@@ -196,6 +214,13 @@ def _ones_in(packed: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little").bit_count()
 
 
+def _bits(draws: np.ndarray, s) -> tuple[np.ndarray, int]:
+    """Bernoulli rewards from a pair's uniform draws at similarity s: the
+    draws below s, bit-packed, and their ones, counted from the compare."""
+    hits = draws < s
+    return np.packbits(hits), int(np.count_nonzero(hits))
+
+
 def _folded(rewards: Iterable[float], k: int, mu: float) -> Iterator[float]:
     """The running means ``mu += (r - mu) / k`` after each of ``rewards``,
     k counting on from ``k``, folded one reward at a time as they are
@@ -213,8 +238,9 @@ class _Tape:
     high bit of byte 0) and grows by whole bytes; a Gaussian tape holds
     float rewards; a Bernoulli sum counts the set bits of the covering bytes.
     Once ``above`` has read a Bernoulli pair, its tape keeps the count ``o``
-    of ones among its ``h`` rewards, adding the ones of each growth.  The
-    ones among the first k rewards then lie in
+    of ones among its ``h`` rewards, adding the ones of each growth, counted
+    from the growth's compare before it is packed.  The ones among the
+    first k rewards then lie in
     ``[o - max(h - k, 0), min(o, k) + max(k - h, 0)]``, and ``above`` answers
     ``2 * ones > k`` (the test ``ones / k > 0.5`` for k below ``_EXACT_K``)
     from these bounds when they settle it, growing the tape only as far as
@@ -233,15 +259,19 @@ class _Tape:
     next read draws the stream from reward 0 again.  A tape grows at least
     by doubling.  numpy's ``random`` and ``standard_normal`` streams do not
     depend on how the draws are split, so neither the growth rule, the byte
-    rounding nor the pieces of ``_PIECE`` draws change any reward.
+    rounding, the pieces of ``_PIECE`` draws nor the block draws below
+    change any reward.
+
+    ``_draw_first`` draws the first rewards of a block of undrawn pairs,
+    each pair's stream into one row of a float block, for the table below
+    and, before a phase read, for the read's Bernoulli arms that have no
+    tape (``draw_phase``); a Bernoulli block is compared and packed once,
+    and its generators are dropped.
 
     On a tape of at most ``_TABLE_PAIRS`` pairs, ``table`` keeps a table of
     the running means of every pair's first ``_COLUMNS`` rewards, 4 KiB per
-    pair, built at its first read and freed with the tape.  The build draws
-    the rewards of ``_TABLE_BLOCK`` undrawn pairs at a time with
-    ``Generator.random(out=row)`` (``standard_normal`` for Gaussian), the
-    same streams as ``_cover``'s draws, through the same ``_rewards_of``;
-    a Bernoulli block's generators are dropped once it is drawn.
+    pair, built at its first read from blocks of ``_TABLE_BLOCK`` pairs and
+    freed with the tape.
     """
 
     def __init__(self, seed: int, sims: np.ndarray, noise: NoiseModel) -> None:
@@ -303,9 +333,8 @@ class _Tape:
         operations as the scalar ``mu += (r - mu) / k``.
 
         The first ``_COLUMNS`` rewards of the pairs that have no tape yet
-        are drawn ``_TABLE_BLOCK`` pairs at a time, each pair's into one
-        row of a float block: one compare and one ``np.packbits`` make the
-        rows the pairs' tapes, and one transposed copy the table's columns.
+        are drawn ``_TABLE_BLOCK`` pairs at a time by ``_draw_first``, and
+        one transposed copy of a block's tapes fills the table's columns.
         A block that holds a pair already drawn reads each of its pairs
         from its tape instead.
         """
@@ -321,16 +350,10 @@ class _Tape:
                 for e in pairs:
                     table[:, e] = self.rewards(e, 0, _COLUMNS)
                 continue
-            rngs = [self._generator(e) for e in pairs]
             draws = scratch[: hi - lo] if self.packed else np.empty((hi - lo, _COLUMNS))
-            for rng, row in zip(rngs, draws):
-                (rng.random if self.packed else rng.standard_normal)(out=row)
-            tapes = self._rewards_of(draws, self.sims[lo:hi, None], lo).reshape(hi - lo, -1)
-            if not self.packed:
-                self._rngs.update(zip(pairs, rngs))
-            self._streams.update(zip(pairs, tapes))
+            tapes, _ = self._draw_first(pairs, draws)
             # Byte b of a row unpacks, along axis 0, to rows 8b to 8b + 7.
-            table[:, lo:hi] = np.unpackbits(tapes.T, axis=0) if self.packed else draws.T
+            table[:, lo:hi] = np.unpackbits(tapes.T, axis=0) if self.packed else tapes.T
         mu = np.zeros(m)
         for j, row in enumerate(table, 1):
             row -= mu
@@ -338,6 +361,56 @@ class _Tape:
             row += mu
             mu = row
         return memoryview(table).cast("B").cast("d")
+
+    def draw_phase(self, arms: list[int], k: int, count: bool) -> None:
+        """Draw, in blocks by ``_draw_first``, the first ``max(_FIRST_DRAW,
+        k)`` rewards (whole bytes) of each arm of a phase read of k pulls
+        that has no tape yet, at most ``_PHASE_FLOATS`` rewards a block; with
+        ``count`` (``above`` reads the arms) the tape keeps each row's ones.
+        A Gaussian tape, or a read of more than ``_ROW_CAP`` pulls, draws
+        each arm as it is read."""
+        if not self.packed or k > _ROW_CAP:
+            return
+        streams = self._streams
+        fresh = [e for e in arms if e not in streams]
+        if len(fresh) < 2:  # a block of one costs more than the arm's own draw
+            return
+        fresh = list(dict.fromkeys(fresh))  # an arm read twice is drawn once
+        length = -(-max(k, _FIRST_DRAW) // 8) * 8
+        rows = _PHASE_FLOATS // length
+        scratch = np.empty((min(len(fresh), rows), length))
+        for lo in range(0, len(fresh), rows):
+            pairs = fresh[lo : lo + rows]
+            _, hits = self._draw_first(pairs, scratch[: len(pairs)])
+            if count:
+                self._ones.update(zip(pairs, hits.sum(axis=1).tolist()))
+
+    def _draw_first(
+        self, pairs: Sequence[int], draws: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Draw the first ``draws.shape[1]`` rewards of each of ``pairs``,
+        none of which has a tape, pair j's into row j of ``draws``, and make
+        the rows the pairs' tapes.  Returns the tapes, one row per pair, and
+        for Bernoulli the block's compare, from which callers count each
+        row's ones (None for Gaussian, whose generators are kept)."""
+        s = self.sims[pairs][:, None]
+        if self.packed:
+            for e, row in zip(pairs, draws):
+                self._generator(e).random(out=row)
+            hits = draws < s
+            tapes = np.packbits(hits, axis=1)
+            # Each pair's own copy of its row, which its first growth frees:
+            # rows as views kept each block alive until its last pair grew,
+            # about 0.17 MB per n = 120 kcfb trial.
+            self._streams.update(zip(pairs, [row.copy() for row in tapes]))
+            return tapes, hits
+        rngs = [self._generator(e) for e in pairs]
+        for rng, row in zip(rngs, draws):
+            rng.standard_normal(out=row)
+        tapes = self._gaussian(draws, s, pairs)
+        self._rngs.update(zip(pairs, rngs))
+        self._streams.update(zip(pairs, tapes))
+        return tapes, None
 
     def total(self, e: int, i: int, k: int) -> float:
         """Sum of rewards i, ..., i + k - 1 of pair e, for k >= 1: the number
@@ -397,7 +470,7 @@ class _Tape:
         have = 0 if buf is None else len(buf) << 3 if self.packed else len(buf)
         if buf is not None and end <= have:
             return buf
-        grow = max(end - have, have, 64)
+        grow = max(end - have, have, _FIRST_DRAW)
         s = self.sims[e]
         if self.packed:
             # Each reward is one 64-bit output of the stream, so a jump of
@@ -407,19 +480,18 @@ class _Tape:
                 rng.bit_generator.advance(have)
             grow = -(-grow // 8) * 8
             if grow <= _PIECE:
-                fresh = self._rewards_of(rng.random(grow), s, e)
+                fresh, ones = _bits(rng.random(grow), s)
             else:
-                fresh = np.concatenate([
-                    self._rewards_of(rng.random(min(_PIECE, grow - j)), s, e)
-                    for j in range(0, grow, _PIECE)
-                ])
-            ones = self._ones.get(e)
-            if ones is not None:
-                self._ones[e] = ones + _ones_in(fresh)
+                pieces = [_bits(rng.random(min(_PIECE, grow - j)), s)
+                          for j in range(0, grow, _PIECE)]
+                fresh = np.concatenate([bits for bits, _ in pieces])
+                ones = sum(count for _, count in pieces)
+            if e in self._ones:
+                self._ones[e] += ones
         else:
             rng = self._rngs.get(e) or self._generator(e)
             try:
-                fresh = self._rewards_of(rng.standard_normal(grow), s, e)
+                fresh = self._gaussian(rng.standard_normal(grow), s, (e,))
             except ParameterError:
                 # The generator has moved past the tape's end: forget both,
                 # so that the pair's next read draws its stream from reward 0.
@@ -442,15 +514,11 @@ class _Tape:
             words = self._word_blocks[block] = _seed_words(self.seed, pairs)
         return np.random.Generator(np.random.PCG64(_StateWords(words[row])))
 
-    def _rewards_of(self, draws: np.ndarray, s, first: int) -> np.ndarray:
-        """The rewards of pairs first, first + 1, ... from their raw draws,
-        one pair's per row of ``draws``, at similarities ``s``: Bernoulli
-        rewards are the uniform draws below s, bit-packed as one flat array
-        (rows of whole bytes pack in row order); Gaussian rewards are the
-        standard normal draws times sigma plus s, computed in ``draws``,
-        and a non-finite one raises, naming its pair."""
-        if self.packed:
-            return np.packbits(draws < s)
+    def _gaussian(self, draws: np.ndarray, s, pairs: Sequence[int]) -> np.ndarray:
+        """The Gaussian rewards of ``pairs`` from their standard normal
+        draws, one pair's per row of ``draws``, at similarities ``s``: the
+        draws times sigma plus s, computed in ``draws``; a non-finite one
+        raises, naming its pair."""
         with np.errstate(over="ignore"):
             draws *= self.noise.sigma
             draws += s
@@ -458,7 +526,7 @@ class _Tape:
         if not finite.all():
             raise ParameterError(
                 f"gaussian noise with sigma={self.noise.sigma} drew a"
-                f" non-finite reward for pair {first + int(np.argmin(finite))}"
+                f" non-finite reward for pair {pairs[int(np.argmin(finite))]}"
             )
         return draws
 
@@ -553,26 +621,33 @@ class Oracle:
         budget cannot cover all ``k * len(arms)`` pulls.
         """
         # An int or float64 sum below 2**53 divides by k to the same float.
-        return self._read_phase(arms, k, self._tape.total, np.float64) / k
+        return self._read_phase(arms, k, above=False) / k
 
     def pull_above(self, arms: Iterable[int], k: int) -> np.ndarray:
         """Whether the mean of k pulls of each arm exceeds 0.5, in order:
         ``pull_means(arms, k) > 0.5``, bit for bit, with the same counters
         and errors, but reading only as many rewards as settle each answer.
         """
-        return self._read_phase(arms, k, self._tape.above, bool)
+        return self._read_phase(arms, k, above=True)
 
-    def _read_phase(self, arms: Iterable[int], k: int, read, dtype) -> np.ndarray:
-        """``read(e, i, k)`` for each arm e at its count i, tallying k pulls
-        of each, after checking every arm, k >= 1 and the block's budget."""
+    def _read_phase(self, arms: Iterable[int], k: int, above: bool) -> np.ndarray:
+        """``_Tape.above(e, i, k)``, or else ``_Tape.total(e, i, k)``, for
+        each arm e at its count i, tallying k pulls of each, after checking
+        every arm, k >= 1 and the block's budget.  The arms that have no
+        tape yet are drawn first, in blocks (``_Tape.draw_phase``)."""
         arms = arms.tolist() if isinstance(arms, np.ndarray) else list(arms)
         self._check(arms, k, least=1)
-        out = np.empty(len(arms), dtype=dtype)
-        for j, e in enumerate(arms):
-            i = self._counts.item(e)
-            out[j] = read(e, i, k)
-            self._tally(e, i, k)
-        return out
+        tape = self._tape
+        tape.draw_phase(arms, k, count=above)
+        read = tape.above if above else tape.total
+        counts = self._counts
+        out = []
+        for e in arms:
+            i = counts.item(e)
+            out.append(read(e, i, k))
+            counts[e] = i + k
+            self._total += k
+        return np.array(out, dtype=bool if above else np.float64)
 
     def first_means(self, arms: Sequence[int]) -> list[float] | None:
         """``pull_means(arms, 1).tolist()`` for distinct arms that have never

@@ -102,7 +102,10 @@ def run_uniform_fc(
     m = oracle.instance.m
     per_pair = uniform_fc_pulls(solver.alpha, m, epsilon, delta) if m else 0
     report = run_uniform_fb(oracle, m * per_pair, solver, rng)
-    return FcReport(report.clustering, report.queries_used, epsilon, delta, None, None)
+    return FcReport(
+        report.clustering, report.queries_used, epsilon, delta, None, None,
+        estimates=report.estimates,
+    )
 
 
 def run_uniform_fb(
@@ -117,8 +120,8 @@ def run_uniform_fb(
     if budget < m:
         raise InsufficientBudgetError(f"budget {budget} < m = {m}: every pair needs one pull")
     if n == 1:
-        return FbReport(np.zeros(1, dtype=np.int64), budget, 0, 1, [0])
+        return FbReport(np.zeros(1, dtype=np.int64), budget, 0, 1, [0], np.zeros(0))
     per_pair = budget // m
     shat = oracle.pull_means(range(m), per_pair)
     labels = solver.solve(shat, n, rng)
-    return FbReport(labels, budget, m * per_pair, 1, [per_pair])
+    return FbReport(labels, budget, m * per_pair, 1, [per_pair], shat)

@@ -137,6 +137,19 @@ class TestRun:
             assert int(row["queries"]) == 60
             assert row["delta"] == ""
 
+    @pytest.mark.parametrize("algo", [["uniform-fb", "--budget", "10"],
+                                      ["uniform-fc", "--delta", "0.1"]])
+    def test_uniform_kwik_restarts_on_one_element(self, algo, tmp_path):
+        # n = 1 has no pair: the replays hand the solver an empty estimate.
+        path = tmp_path / "one.json"
+        save_instance(Instance(1, []), path)
+        out = tmp_path / "u.csv"
+        assert run_main(["run", "--algo", *algo, "--solver", "kwik_restarts",
+                         "--instance", str(path), "--epsilon", "1.0", "--mc-replays", "5",
+                         "--out", str(out)]) == 0
+        _, rows = parse_csv(out.read_text())
+        assert rows[0]["queries"] == "0" and float(rows[0]["mc_expected_cost"]) == 0.0
+
     def test_stdout_when_no_out(self, noiseless_instance, capsys):
         run_main(["run", "--algo", "kcfc", "--instance", str(noiseless_instance),
                   "--epsilon", "1.0", "--delta", "0.1", "--mc-replays", "10"])

@@ -19,7 +19,9 @@ from noisycc import (
 )
 from noisycc.cli import main
 from noisycc.oracle import (
+    _PHASE_FLOATS,
     _PIECE,
+    _ROW_CAP,
     _TABLE_BLOCK,
     _TABLE_PAIRS,
     _UNPACK_BYTES,
@@ -611,6 +613,75 @@ class TestPullAbove:
         assert np.array_equal(o.replay().pull_many(e, k), expected.astype(np.float64))
 
 
+class TestPhaseBlockDraws:
+    """A phase read draws the first rewards of its never-drawn Bernoulli arms
+    in blocks, after its checks pass: each block row is the pair's stream,
+    and no pair outside the read is drawn."""
+
+    N, SEED = 20, 0x243F6A8885A308D3  # m = 190 pairs
+
+    def oracle(self, k, budget=None):
+        """Pair 3 drawn and pulled, pair 150 drawn but never pulled, and pair
+        7 pulled but never drawn (``advance`` reads no reward)."""
+        sims = np.random.default_rng(k).random(num_pairs(self.N))
+        sims[::9] = 0.5  # ties at every k
+        o = Oracle(Instance(self.N, sims), seed=self.SEED, budget=budget)
+        o.pull_many(3, 5)
+        peek(o, 150, 70)
+        o.advance(7, 2)
+        return o
+
+    def stream(self, o, e, length):
+        rewards = reference_stream(self.SEED, e).random(length) < o.instance.sims[e]
+        return rewards.astype(np.float64)
+
+    @pytest.mark.parametrize("read", ["pull_means", "pull_above"])
+    @pytest.mark.parametrize("k", [1, 8, 100, _ROW_CAP, _ROW_CAP + 1])
+    def test_rewards_counters_and_ones_are_the_stream(self, read, k):
+        o = self.oracle(k)
+        fresh = [e for e in range(20, 170) if e != 150]  # 149 never drawn
+        arms = fresh + [3, 150, 7, fresh[0]]  # drawn, undrawn at count 2, a repeat
+        assert len(fresh) > _PHASE_FLOATS // 64  # more than one block at every k
+        counts = o.pulls_report()[1].tolist()
+        means = []
+        for e in arms:
+            means.append(self.stream(o, e, counts[e] + k)[counts[e] :].sum() / k)
+            counts[e] += k
+        got = getattr(o, read)(arms, k).tolist()
+        assert got == (means if read == "pull_means" else [mu > 0.5 for mu in means])
+        assert o.pulls_report()[1].tolist() == counts and o.total_pulls == sum(counts)
+        tape = o._tape
+        assert set(tape._streams) == set(arms)
+        if read == "pull_means":
+            assert not tape._ones
+        else:  # every pair read from reward 0 keeps its ones; pair 3 is not
+            assert set(arms) - {3, 7} <= set(tape._ones) <= set(arms) - {3}
+        for e, buf in tape._streams.items():
+            on_tape = tape.rewards(e, 0, 8 * len(buf))
+            assert np.array_equal(on_tape, self.stream(o, e, 8 * len(buf))), e
+            if e in tape._ones:
+                assert tape._ones[e] == on_tape.sum(), e
+        if k <= _ROW_CAP:
+            # A block row holds the first max(64, k) rewards, whole bytes,
+            # and no arm read once from reward 0 grows past it.
+            row = 8 * -(-max(64, k) // 8)
+            assert {8 * len(tape._streams[e]) for e in fresh[1:]} == {row}
+
+    @pytest.mark.parametrize("read", ["pull_means", "pull_above"])
+    def test_failed_check_draws_nothing(self, read):
+        o = self.oracle(100, budget=1000)
+        fresh = list(range(20, 150))
+        drawn = {e: len(t) for e, t in o._tape._streams.items()}
+        with pytest.raises(InvalidPairError, match="out of range"):
+            getattr(o, read)(fresh + [num_pairs(self.N)], 5)
+        with pytest.raises(BudgetExhaustedError, match="7 used, 1040 requested"):
+            getattr(o, read)(fresh, 8)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            getattr(o, read)(fresh, 0)
+        assert {e: len(t) for e, t in o._tape._streams.items()} == drawn
+        assert o.total_pulls == 7 and not o._tape._ones
+
+
 class TestTapeTotal:
     """``_Tape.total`` counts ones however the span sits on the packed bytes."""
 
@@ -975,6 +1046,27 @@ class TestTapeMemory:
         finally:
             tracemalloc.stop()
         assert peak < 9 * 2**20
+
+    def test_uniform_fb_trial_at_n_120(self, tmp_path):
+        # One planted n = 120 uniform-fb trial, T = 100 m, kwik_restarts, 20
+        # MC replays: tracemalloc's peak was 2.10 MiB while each arm of
+        # pull_means was drawn on its own, and is 2.00 MiB with block draws
+        # in a 32 KiB scratch; a 512 KiB scratch read 2.41 MiB (Python 3.11,
+        # numpy 2.4).
+        path = str(tmp_path / "n120.json")
+        assert main(["gen", "--kind", "planted", "--n", "120", "--k", "4", "--q", "0.1",
+                     "--seed", "0", "--out", path]) == 0
+        argv = ["run", "--algo", "uniform-fb", "--epsilon", "1.0",
+                "--budget", str(100 * num_pairs(120)), "--mc-replays", "20",
+                "--solver", "kwik_restarts", "--trials", "1", "--seed", "1",
+                "--instance", path, "--out", str(tmp_path / "run.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * 2**20
 
     @pytest.mark.parametrize("noise", NOISES)
     def test_only_gaussian_tapes_keep_generators(self, noise):

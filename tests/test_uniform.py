@@ -8,6 +8,7 @@ from noisycc import (
     Instance,
     InstanceTooLargeError,
     InsufficientBudgetError,
+    NoiseModel,
     Oracle,
     OfflineSolver,
     ParameterError,
@@ -220,3 +221,28 @@ class TestUniformFb:
     def test_error_bound_past_the_float_range_is_the_limit(self):
         # 2.0 * 10**400 raised OverflowError.
         assert uniform_fb_error_bound(1.0, 10, 10**400, 0.5) == 0.0
+
+
+class TestEstimates:
+    """The uniform reports carry the run's estimates, which MC replays hand
+    to the solver again: the same floats as the empirical means."""
+
+    @pytest.mark.parametrize("noise", [None, NoiseModel("gaussian", sigma=0.3)])
+    def test_equal_the_empirical_means(self, noise):
+        inst = generate(GeneratorSpec("planted", n=12, k=3, flip_noise=0.1, seed=5))
+        solver = OfflineSolver("kwik_restarts", restarts=3)
+        oracle = Oracle(inst, noise, seed=3)
+        report = run_uniform_fb(oracle, 37 * inst.m + 5, solver, np.random.default_rng(0))
+        assert report.estimates.tolist() == [oracle.empirical_mean(e) for e in range(inst.m)]
+        oracle = Oracle(inst, noise, seed=4)
+        report = run_uniform_fc(oracle, 20.0, 0.4, solver, np.random.default_rng(0))
+        assert report.estimates.tolist() == [oracle.empirical_mean(e) for e in range(inst.m)]
+
+    def test_n1_carries_no_estimate(self):
+        oracle = Oracle(Instance(1, []), seed=0)
+        for report in (
+            run_uniform_fb(oracle, 0, OfflineSolver("kwik_restarts")),
+            run_uniform_fc(oracle, 0.5, 0.1, OfflineSolver("kwik_restarts")),
+        ):
+            assert report.estimates.shape == (0,)
+        assert oracle.total_pulls == 0
