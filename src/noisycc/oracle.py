@@ -19,25 +19,28 @@ identical reward sequence per pair while keeping its own counters, so
 conditional expectations over the algorithm's internal randomness can be
 estimated with the noise realization held fixed.
 
-Rewards are read three ways: ``first_means`` pulls each of a bandit's arms
-once, ``running_means`` lists a pair's running means over its next rewards
-and ``advance`` counts them as pulled (the threshold bandit), ``pull_means``
+Rewards are read five ways: ``first_means`` pulls each of a bandit's arms
+once; ``running_means`` lists a pair's running means over its next rewards
+and ``advance`` counts them as pulled (the threshold bandit); ``pull_means``
 reads the mean of k pulls of each arm of a phase (the uniform baselines, and
-the bandit's first pulls where ``first_means`` cannot serve them), and
-``pull_above`` whether each such mean exceeds 0.5 (``kcfb``); ``pull`` and
-``pull_many`` return the rewards themselves, read by ``_Tape.rewards`` as is
-the bandit's fold past the table.  The tape keeps the count of ones of each
-Bernoulli pair that ``pull_above`` reads, which bounds the ones among its
-first k rewards, so ``pull_above`` decides most tests from it and draws new
-rewards only until the answer is settled.  Both phase reads, of at most
-``_ROW_CAP`` pulls, draw the first rewards of their arms that have no
-Bernoulli tape yet as blocks of pairs, each pair's stream into one row of a
-float block; PCG64 streams are independent of where they are drawn, so a
-row holds the same rewards as the pair's own growth would.  On a tape of at most ``_TABLE_PAIRS`` pairs, the
-first time a bandit reads it, the tape draws the first ``_COLUMNS`` rewards
-of every pair by the same block draw, and folds their running means into a
-table, which the tape's replays share; its row 0, every pair's reward 0, is
-the bandit's first pulls.
+the bandit's first pulls where ``first_means`` cannot serve them);
+``pull_above`` reads whether each such mean exceeds 0.5 (``kcfb``); and
+``pull`` and ``pull_many`` return the rewards themselves, read by
+``_Tape.rewards`` as is the bandit's fold past the table.  The tape keeps
+the count of ones of each Bernoulli pair that ``pull_above`` reads, which
+bounds the ones among its first k rewards, so ``pull_above`` decides most
+tests from it and draws new rewards only until the answer is settled.
+
+``_Tape.draw_first`` is the tape's one block draw: it draws the first
+rewards of the Bernoulli pairs that have no tape yet, each pair's stream
+into one row of a float block, for both phase reads, of at most
+``_ROW_CAP`` pulls, and for the table below.  PCG64 streams are independent
+of where they are drawn, so a row holds the same rewards as the pair's own
+growth would.  On a tape of at most ``_TABLE_PAIRS`` pairs, the first time
+a bandit reads it, the tape draws the first ``_COLUMNS`` rewards of every
+pair (Bernoulli pairs by the block draw, Gaussian pairs one by one) and
+folds their running means into a table, which the tape's replays share;
+its row 0, every pair's reward 0, is the bandit's first pulls.
 
 No read may take a pair's pull count to 2**63 or more, which the int64
 counters cannot record; such a read is rejected before any draw.
@@ -161,9 +164,9 @@ _COLUMNS = 512
 # beyond the pairs a bandit reads: kcfc-seq reads about 40 % of them at
 # n = 120 and 10 replays.
 _TABLE_PAIRS = 1 << 11
-# The table draws its rewards this many pairs at a time, into a float block
-# of 512 KiB.  Blocks of 256 pairs (1 MiB) raised bandit-mid's peak RSS by
-# 2.8 % over drawing pair by pair, blocks of 128 by 1.6 %.
+# The table's columns are filled this many pairs at a time, from one
+# transposed copy of the first ``_COLUMNS`` rewards on their tapes: 8 KiB of
+# Bernoulli bits, or 512 KiB of Gaussian floats.
 _TABLE_BLOCK = 1 << 7
 # A first growth draws at least this many rewards.
 _FIRST_DRAW = 64
@@ -259,19 +262,13 @@ class _Tape:
     next read draws the stream from reward 0 again.  A tape grows at least
     by doubling.  numpy's ``random`` and ``standard_normal`` streams do not
     depend on how the draws are split, so neither the growth rule, the byte
-    rounding, the pieces of ``_PIECE`` draws nor the block draws below
-    change any reward.
-
-    ``_draw_first`` draws the first rewards of a block of undrawn pairs,
-    each pair's stream into one row of a float block, for the table below
-    and, before a phase read, for the read's Bernoulli arms that have no
-    tape (``draw_phase``); a Bernoulli block is compared and packed once,
-    and its generators are dropped.
+    rounding, the pieces of ``_PIECE`` draws nor the block draws of
+    ``draw_first`` change any reward.
 
     On a tape of at most ``_TABLE_PAIRS`` pairs, ``table`` keeps a table of
     the running means of every pair's first ``_COLUMNS`` rewards, 4 KiB per
-    pair, built at its first read from blocks of ``_TABLE_BLOCK`` pairs and
-    freed with the tape.
+    pair, filled at its first read from the pairs' tapes and freed with the
+    tape.
     """
 
     def __init__(self, seed: int, sims: np.ndarray, noise: NoiseModel) -> None:
@@ -332,28 +329,20 @@ class _Tape:
         at a time with numpy's float64 ``-``, ``/`` and ``+``, the same IEEE
         operations as the scalar ``mu += (r - mu) / k``.
 
-        The first ``_COLUMNS`` rewards of the pairs that have no tape yet
-        are drawn ``_TABLE_BLOCK`` pairs at a time by ``_draw_first``, and
-        one transposed copy of a block's tapes fills the table's columns.
-        A block that holds a pair already drawn reads each of its pairs
-        from its tape instead.
+        ``draw_first`` draws the first ``_COLUMNS`` rewards of every pair
+        that has no tape yet, and ``_cover`` grows any shorter tape; one
+        transposed copy of the tapes of ``_TABLE_BLOCK`` pairs at a time
+        fills the table's columns.
         """
         m = len(self.sims)
+        self.draw_first(range(m), _COLUMNS, count=False)
         table = np.empty((_COLUMNS, m))
-        # Bernoulli blocks share one scratch; a Gaussian block becomes the
-        # tapes of its pairs.
-        scratch = np.empty((min(m, _TABLE_BLOCK), _COLUMNS)) if self.packed else None
+        width = _COLUMNS // 8 if self.packed else _COLUMNS
         for lo in range(0, m, _TABLE_BLOCK):
             hi = min(lo + _TABLE_BLOCK, m)
-            pairs = range(lo, hi)
-            if not self._streams.keys().isdisjoint(pairs):
-                for e in pairs:
-                    table[:, e] = self.rewards(e, 0, _COLUMNS)
-                continue
-            draws = scratch[: hi - lo] if self.packed else np.empty((hi - lo, _COLUMNS))
-            tapes, _ = self._draw_first(pairs, draws)
-            # Byte b of a row unpacks, along axis 0, to rows 8b to 8b + 7.
-            table[:, lo:hi] = np.unpackbits(tapes.T, axis=0) if self.packed else tapes.T
+            tapes = np.array([self._cover(e, _COLUMNS)[:width] for e in range(lo, hi)]).T
+            # Byte b of a pair unpacks, along axis 0, to rows 8b to 8b + 7.
+            table[:, lo:hi] = np.unpackbits(tapes, axis=0) if self.packed else tapes
         mu = np.zeros(m)
         for j, row in enumerate(table, 1):
             row -= mu
@@ -362,55 +351,37 @@ class _Tape:
             mu = row
         return memoryview(table).cast("B").cast("d")
 
-    def draw_phase(self, arms: list[int], k: int, count: bool) -> None:
-        """Draw, in blocks by ``_draw_first``, the first ``max(_FIRST_DRAW,
-        k)`` rewards (whole bytes) of each arm of a phase read of k pulls
-        that has no tape yet, at most ``_PHASE_FLOATS`` rewards a block; with
-        ``count`` (``above`` reads the arms) the tape keeps each row's ones.
-        A Gaussian tape, or a read of more than ``_ROW_CAP`` pulls, draws
+    def draw_first(self, arms: Iterable[int], k: int, count: bool) -> None:
+        """Before a read of k pulls of each of ``arms``, draw the first
+        ``max(_FIRST_DRAW, k)`` rewards (whole bytes) of each arm that has
+        no tape yet, in blocks of at most ``_PHASE_FLOATS`` rewards: each
+        arm's stream into one row of a float block, compared and packed
+        once per block, and each row's ones counted from the compare; with
+        ``count`` (``above`` reads the arms) the tape keeps them.  A
+        Gaussian tape, or a read of more than ``_ROW_CAP`` pulls, draws
         each arm as it is read."""
         if not self.packed or k > _ROW_CAP:
             return
         streams = self._streams
-        fresh = [e for e in arms if e not in streams]
+        # An arm read twice is drawn once.
+        fresh = list(dict.fromkeys([e for e in arms if e not in streams]))
         if len(fresh) < 2:  # a block of one costs more than the arm's own draw
             return
-        fresh = list(dict.fromkeys(fresh))  # an arm read twice is drawn once
         length = -(-max(k, _FIRST_DRAW) // 8) * 8
         rows = _PHASE_FLOATS // length
         scratch = np.empty((min(len(fresh), rows), length))
         for lo in range(0, len(fresh), rows):
             pairs = fresh[lo : lo + rows]
-            _, hits = self._draw_first(pairs, scratch[: len(pairs)])
-            if count:
-                self._ones.update(zip(pairs, hits.sum(axis=1).tolist()))
-
-    def _draw_first(
-        self, pairs: Sequence[int], draws: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Draw the first ``draws.shape[1]`` rewards of each of ``pairs``,
-        none of which has a tape, pair j's into row j of ``draws``, and make
-        the rows the pairs' tapes.  Returns the tapes, one row per pair, and
-        for Bernoulli the block's compare, from which callers count each
-        row's ones (None for Gaussian, whose generators are kept)."""
-        s = self.sims[pairs][:, None]
-        if self.packed:
+            draws = scratch[: len(pairs)]
             for e, row in zip(pairs, draws):
                 self._generator(e).random(out=row)
-            hits = draws < s
-            tapes = np.packbits(hits, axis=1)
+            hits = draws < self.sims[pairs][:, None]
             # Each pair's own copy of its row, which its first growth frees:
             # rows as views kept each block alive until its last pair grew,
             # about 0.17 MB per n = 120 kcfb trial.
-            self._streams.update(zip(pairs, [row.copy() for row in tapes]))
-            return tapes, hits
-        rngs = [self._generator(e) for e in pairs]
-        for rng, row in zip(rngs, draws):
-            rng.standard_normal(out=row)
-        tapes = self._gaussian(draws, s, pairs)
-        self._rngs.update(zip(pairs, rngs))
-        self._streams.update(zip(pairs, tapes))
-        return tapes, None
+            streams.update(zip(pairs, [row.copy() for row in np.packbits(hits, axis=1)]))
+            if count:
+                self._ones.update(zip(pairs, hits.sum(axis=1).tolist()))
 
     def total(self, e: int, i: int, k: int) -> float:
         """Sum of rewards i, ..., i + k - 1 of pair e, for k >= 1: the number
@@ -490,14 +461,19 @@ class _Tape:
                 self._ones[e] += ones
         else:
             rng = self._rngs.get(e) or self._generator(e)
-            try:
-                fresh = self._gaussian(rng.standard_normal(grow), s, (e,))
-            except ParameterError:
+            fresh = rng.standard_normal(grow)
+            with np.errstate(over="ignore"):
+                fresh *= self.noise.sigma
+                fresh += s
+            if not np.isfinite(fresh).all():
                 # The generator has moved past the tape's end: forget both,
                 # so that the pair's next read draws its stream from reward 0.
                 self._rngs.pop(e, None)
                 self._streams.pop(e, None)
-                raise
+                raise ParameterError(
+                    f"gaussian noise with sigma={self.noise.sigma} drew a"
+                    f" non-finite reward for pair {e}"
+                )
             self._rngs[e] = rng
         buf = fresh if buf is None else np.concatenate([buf, fresh])
         self._streams[e] = buf
@@ -513,22 +489,6 @@ class _Tape:
             pairs = np.arange(start, min(start + _WORD_BLOCK, len(self.sims)))
             words = self._word_blocks[block] = _seed_words(self.seed, pairs)
         return np.random.Generator(np.random.PCG64(_StateWords(words[row])))
-
-    def _gaussian(self, draws: np.ndarray, s, pairs: Sequence[int]) -> np.ndarray:
-        """The Gaussian rewards of ``pairs`` from their standard normal
-        draws, one pair's per row of ``draws``, at similarities ``s``: the
-        draws times sigma plus s, computed in ``draws``; a non-finite one
-        raises, naming its pair."""
-        with np.errstate(over="ignore"):
-            draws *= self.noise.sigma
-            draws += s
-        finite = np.isfinite(draws).all(axis=-1)
-        if not finite.all():
-            raise ParameterError(
-                f"gaussian noise with sigma={self.noise.sigma} drew a"
-                f" non-finite reward for pair {pairs[int(np.argmin(finite))]}"
-            )
-        return draws
 
 
 class Oracle:
@@ -634,11 +594,11 @@ class Oracle:
         """``_Tape.above(e, i, k)``, or else ``_Tape.total(e, i, k)``, for
         each arm e at its count i, tallying k pulls of each, after checking
         every arm, k >= 1 and the block's budget.  The arms that have no
-        tape yet are drawn first, in blocks (``_Tape.draw_phase``)."""
+        tape yet are drawn first, in blocks (``_Tape.draw_first``)."""
         arms = arms.tolist() if isinstance(arms, np.ndarray) else list(arms)
         self._check(arms, k, least=1)
         tape = self._tape
-        tape.draw_phase(arms, k, count=above)
+        tape.draw_first(arms, k, count=above)
         read = tape.above if above else tape.total
         counts = self._counts
         out = []

@@ -11,7 +11,9 @@ every running mean is folded from the tape's individual rewards) before
 those rewards were read as float64 arrays in place of lists of floats, and
 ``kcfc-n64`` (planted n = 64, m = 2,016, the largest tape that keeps the
 table) before the table's rewards were drawn a block of pairs at a time and the
-bandit's first pulls read from its row 0;
+bandit's first pulls read from its row 0, and ``kcfc-gauss-n64`` (a Gaussian
+table of 16 fill blocks on the same instance) before the table's Gaussian
+rewards were drawn pair by pair in place of blocks of pairs;
 any change to RNG consumption,
 pivot order, query order, the exact optimum's tie-break or number formatting
 shows up here.
@@ -80,6 +82,9 @@ CASES = {
                              "--solver", "kwik_restarts"]),
     "kcfc-n64": ("n64", ["--algo", "kcfc", *FC, "--trials", "2", "--mc-replays", "10",
                          "--seed", "17", "--solver", "kwik_restarts"]),
+    "kcfc-gauss-n64": ("n64", ["--algo", "kcfc", *FC, *GAUSS, "--trials", "2",
+                               "--mc-replays", "10", "--seed", "18",
+                               "--solver", "kwik_restarts"]),
 }
 
 EXPECTED_SHA256 = {
@@ -87,6 +92,7 @@ EXPECTED_SHA256 = {
     "kcfb-n10-r500": "f4d4e0ca0b38844729d88d9c75e654b00c7227a0ffdfee346f67a6cdfc53058c",
     "kcfb-n15": "00b206419a011ba01323359610c420d0c4e4a66e581fa35750819119400d4e8a",
     "kcfb-n6": "54123592fdb3669f7724243cb3009118c0f8ef268dbf2c5612a696da84b197a2",
+    "kcfc-gauss-n64": "281e38a7e0053cb41b0eec1c541f0fb78debc5c97d628335d77c40b7795e6c77",
     "kcfc-gauss-n6": "0f3cc7ff236f404ebb257ae8cde04ff81ea8394c2f618d3d7105bb9540fc9ac0",
     "kcfc-n70": "1c7ae3d83b767354f3395c5c50d3d947708e9786f19946441c4cf53384970e81",
     "kcfc-n64": "ed0e66ff49a9fa8a640f01ba273da84cb58f29b432e5c8b6d385fde9a1fce8d4",

@@ -838,6 +838,45 @@ class TestRunningMeans:
             assert bits(table[e :: inst.m]) == bits(scalar_fold(rewards))
             assert bits(tape.rewards(e, 0, 512).tolist()) == bits(rewards)
 
+    def test_table_over_pairs_already_drawn(self):
+        # m = 190, more than one fill block, with tapes of every kind before
+        # the build: pair 3 past the table, pair 131 short of it in the
+        # second block, pair 150 read by pull_above (168 rewards, ones
+        # kept), pair 7 advanced but never drawn.
+        sims = np.random.default_rng(22).random(num_pairs(20))
+        sims[150] = 0.95
+        inst = Instance(20, sims)
+        seed = 0x2545F4914F6CDD1D
+        o = Oracle(inst, seed=seed)
+        o.pull_many(3, 700)
+        o.pull_many(131, 5)
+        o.pull_above([150], 200)
+        o.advance(7, 2)
+        tape = o._tape
+        assert inst.m > _TABLE_BLOCK and 8 * len(tape._streams[150]) == 168
+        assert set(tape._streams) == {3, 131, 150}
+        table = tape.table()
+        for e in range(inst.m):
+            length = 8 * len(tape._streams[e])
+            rewards = reference_rewards(seed, e, sims[e], None, length)
+            assert bits(table[e :: inst.m]) == bits(scalar_fold(rewards[:512])), e
+            assert bits(tape.rewards(e, 0, length).tolist()) == bits(rewards), e
+        assert tape._ones == {150: tape.total(150, 0, 8 * len(tape._streams[150]))}
+
+    def test_table_build_keeps_no_draw_scratch(self):
+        # m = 435 (n = 30): the table is 1.70 MiB, and the pairs' tapes and
+        # one 32 KiB block of draws add about 0.2 MiB; a 512 KiB block of
+        # the table's own draws took the peak to 2.46 MiB.
+        inst = Instance(30, np.random.default_rng(30).random(num_pairs(30)))
+        o = Oracle(inst, seed=3)
+        tracemalloc.start()
+        try:
+            o._tape.table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * 2**20
+
     @pytest.mark.parametrize("noise", [None, NoiseModel("gaussian", sigma=0.3)])
     def test_reads_past_the_table_continue_the_stream(self, noise):
         inst = Instance(20, np.random.default_rng(21).random(num_pairs(20)))
