@@ -148,8 +148,8 @@ class _StateWords(ISeedSequence):
 # first time a pair of the block is read, so a fresh oracle over millions of
 # pairs derives only the blocks its algorithm touches.
 _WORD_BLOCK = 4096
-# A Bernoulli growth longer than this is drawn in pieces of this many
-# rewards (whole bytes), so its float scratch stays at 512 KiB.
+# A Bernoulli growth is drawn in pieces of at most this many rewards (whole
+# bytes), so its float scratch stays at 512 KiB.
 _PIECE = 1 << 16
 # Bernoulli spans of more bytes than this are counted by unpacking them to
 # one byte per reward, ``_PIECE`` rewards at a time so that the scratch
@@ -217,13 +217,6 @@ def _ones_in(packed: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little").bit_count()
 
 
-def _bits(draws: np.ndarray, s) -> tuple[np.ndarray, int]:
-    """Bernoulli rewards from a pair's uniform draws at similarity s: the
-    draws below s, bit-packed, and their ones, counted from the compare."""
-    hits = draws < s
-    return np.packbits(hits), int(np.count_nonzero(hits))
-
-
 def _folded(rewards: Iterable[float], k: int, mu: float) -> Iterator[float]:
     """The running means ``mu += (r - mu) / k`` after each of ``rewards``,
     k counting on from ``k``, folded one reward at a time as they are
@@ -244,7 +237,7 @@ class _Tape:
     of ones among its ``h`` rewards, adding the ones of each growth, counted
     from the growth's compare before it is packed.  The ones among the
     first k rewards then lie in
-    ``[o - max(h - k, 0), min(o, k) + max(k - h, 0)]``, and ``above`` answers
+    ``[o - max(h - k, 0), o + max(k - h, 0)]``, and ``above`` answers
     ``2 * ones > k`` (the test ``ones / k > 0.5`` for k below ``_EXACT_K``)
     from these bounds when they settle it, growing the tape only as far as
     needed to settle it.  Pair e's generator is ``Generator(PCG64(words))``
@@ -419,18 +412,15 @@ class _Tape:
             buf = self._streams.get(e)
             h = 0 if buf is None else len(buf) << 3
             o = self._ones[e]
-            if h >= k:
-                # The first k rewards hold at least o - (h - k) ones, at most o.
-                if 2 * (o - h + k) > k:
-                    return True
-                if 2 * o <= k:
-                    return False
-                return 2 * self.total(e, 0, k) > k
-            # The first k rewards hold the o ones and at most k - h more.
-            if 2 * o > k:
+            # The first k rewards hold at least o - max(h - k, 0) ones and at
+            # most o + max(k - h, 0); two calls of ``max`` here made n = 120
+            # kcfb jobs about 3 % slower.
+            if 2 * (o - (h - k if h > k else 0)) > k:
                 return True
-            if 2 * (o + k - h) <= k:
+            if 2 * (o + (k - h if k > h else 0)) <= k:
                 return False
+            if h >= k:
+                return 2 * self.total(e, 0, k) > k
             s = self.sims.item(e)
             settle = math.ceil(k / (2 * max(s, 1 - s)) + 4 * math.sqrt(k))
             self._cover(e, min(k, max(settle, h + 1)))
@@ -443,6 +433,7 @@ class _Tape:
             return buf
         grow = max(end - have, have, _FIRST_DRAW)
         s = self.sims[e]
+        parts = [] if buf is None else [buf]
         if self.packed:
             # Each reward is one 64-bit output of the stream, so a jump of
             # ``have`` outputs lands on the tape's end.
@@ -450,13 +441,11 @@ class _Tape:
             if have:
                 rng.bit_generator.advance(have)
             grow = -(-grow // 8) * 8
-            if grow <= _PIECE:
-                fresh, ones = _bits(rng.random(grow), s)
-            else:
-                pieces = [_bits(rng.random(min(_PIECE, grow - j)), s)
-                          for j in range(0, grow, _PIECE)]
-                fresh = np.concatenate([bits for bits, _ in pieces])
-                ones = sum(count for _, count in pieces)
+            ones = 0
+            for j in range(0, grow, _PIECE):
+                hits = rng.random(min(_PIECE, grow - j)) < s
+                parts.append(np.packbits(hits))
+                ones += int(np.count_nonzero(hits))
             if e in self._ones:
                 self._ones[e] += ones
         else:
@@ -475,7 +464,10 @@ class _Tape:
                     f" non-finite reward for pair {e}"
                 )
             self._rngs[e] = rng
-        buf = fresh if buf is None else np.concatenate([buf, fresh])
+            parts.append(fresh)
+        # A first growth of one part is stored as drawn: copying it made such
+        # a growth about 10 % slower.
+        buf = parts[0] if len(parts) == 1 else np.concatenate(parts)
         self._streams[e] = buf
         return buf
 
@@ -549,17 +541,11 @@ class Oracle:
                 f" {_count(requested)} requested"
             )
 
-    def _tally(self, e: int, i: int, k: int) -> None:
-        """Count k more pulls of pair e, which had i."""
-        self._counts[e] = i + k
-        self._total += k
-
     def pull(self, e: int) -> float:
         """One noisy sample of pair e's similarity."""
         self._check((e,), 1)
-        i = self._counts.item(e)
-        reward = self._tape.rewards(e, i, 1).item(0)
-        self._tally(e, i, 1)
+        reward = self._tape.rewards(e, self._counts.item(e), 1).item(0)
+        self.advance(e, 1)
         return reward
 
     def pull_many(self, e: int, k: int) -> np.ndarray:
@@ -568,9 +554,8 @@ class Oracle:
         Raises before mutating anything if the budget cannot cover all k.
         """
         self._check((e,), k)
-        i = self._counts.item(e)
-        rewards = self._tape.rewards(e, i, k)
-        self._tally(e, i, k)
+        rewards = self._tape.rewards(e, self._counts.item(e), k)
+        self.advance(e, k)
         return rewards
 
     def pull_means(self, arms: Iterable[int], k: int) -> np.ndarray:

@@ -139,15 +139,16 @@ def _radius_span(table: array, m: int, delta: float, scale: float, k: int, run: 
     Counts up to ``_MEMO_COUNTS`` read ``table``, the memo's table for
     (m, delta, scale), filled as far as needed by calling ``radius`` itself;
     larger counts call it directly.  Where the table already holds them, the
-    bandit slices it itself.
+    span is the table's slice, returned before any other work: the bandit
+    reads two spans per run.
     """
     end = k + run
+    if end < len(table):
+        return table[k + 1 : end + 1]
     upto = min(end, _MEMO_COUNTS)
-    if len(table) <= upto:
-        table.extend([radius(m, j, delta, scale) for j in range(len(table), upto + 1)])
+    table.extend([radius(m, j, delta, scale) for j in range(len(table), upto + 1)])
     span = table[k + 1 : end + 1]
-    if end >= len(table):
-        span.extend([radius(m, j, delta, scale) for j in range(max(k + 1, len(table)), end + 1)])
+    span.extend([radius(m, j, delta, scale) for j in range(max(k + 1, len(table)), end + 1)])
     return span
 
 
@@ -255,11 +256,9 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
             steps = zip(
                 count(1),
                 oracle.running_means(g, kg, mean[g], run),
-                radii[kg + 1 : kg + run + 1] if kg + run < len(radii)
-                else _radius_span(radii, m, delta, scale, kg, run),
+                _radius_span(radii, m, delta, scale, kg, run),
                 oracle.running_means(b, kb, mean[b], run),
-                radii[kb + 1 : kb + run + 1] if kb + run < len(radii)
-                else _radius_span(radii, m, delta, scale, kb, run),
+                _radius_span(radii, m, delta, scale, kb, run),
             )
             # Against each other, the smaller pair index wins a tie.
             g_first = g < b
@@ -282,8 +281,7 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
             steps = zip(
                 count(1),
                 islice(oracle.running_means(g, kg, mean[g], 2 * run), 1, None, 2),
-                radii[kg + 2 : kg + 2 * run + 1 : 2] if kg + 2 * run < len(radii)
-                else _radius_span(radii, m, delta, scale, kg, 2 * run)[1::2],
+                _radius_span(radii, m, delta, scale, kg, 2 * run)[1::2],
             )
             for done, mg, rg in steps:
                 lg, ug = mg - rg, mg + rg

@@ -84,13 +84,6 @@ def uniform_fb_error_bound(alpha: float, m: int, pulls_per_pair: int, epsilon: f
     return min(1.0, 2.0 * m * math.exp(exponent))
 
 
-def _check_solver_fits(solver: OfflineSolver, n: int) -> None:
-    if solver.kind == "exact" and n > EXACT_MAX_N:
-        raise InstanceTooLargeError(
-            f"exact solver supports n <= {EXACT_MAX_N}, got n={n}"
-        )
-
-
 def run_uniform_fc(
     oracle: Oracle,
     epsilon: float,
@@ -115,7 +108,8 @@ def run_uniform_fb(
     rng: np.random.Generator | None = None,
 ) -> FbReport:
     n = oracle.instance.n
-    _check_solver_fits(solver, n)
+    if solver.kind == "exact" and n > EXACT_MAX_N:
+        raise InstanceTooLargeError(f"exact solver supports n <= {EXACT_MAX_N}, got n={n}")
     m = num_pairs(n)
     if budget < m:
         raise InsufficientBudgetError(f"budget {budget} < m = {m}: every pair needs one pull")

@@ -13,7 +13,11 @@ those rewards were read as float64 arrays in place of lists of floats, and
 table) before the table's rewards were drawn a block of pairs at a time and the
 bandit's first pulls read from its row 0, and ``kcfc-gauss-n64`` (a Gaussian
 table of 16 fill blocks on the same instance) before the table's Gaussian
-rewards were drawn pair by pair in place of blocks of pairs;
+rewards were drawn pair by pair in place of blocks of pairs, and
+``kcfb-pieces-u8`` (similarities within 0.001 of 0.5, so that its votes
+depend on the rewards, read from tapes of more than 65,536 rewards, which
+grow in pieces and are counted unpacked) before a tape's growth was joined
+to it in one concatenate;
 any change to RNG consumption,
 pivot order, query order, the exact optimum's tie-break or number formatting
 shows up here.
@@ -38,6 +42,8 @@ INSTANCES = {
             "--in-mean", "0.8", "--out-mean", "0.2", "--seed", "13"],
     "n64": ["--kind", "planted", "--n", "64", "--k", "4", "--q", "0.1",
             "--in-mean", "0.8", "--out-mean", "0.2", "--seed", "16"],
+    "u8": ["--kind", "uniform_random", "--n", "8", "--lo", "0.499", "--hi", "0.501",
+           "--seed", "21"],
 }
 
 FC = ["--epsilon", "1.0", "--delta", "0.1"]
@@ -85,12 +91,15 @@ CASES = {
     "kcfc-gauss-n64": ("n64", ["--algo", "kcfc", *FC, *GAUSS, "--trials", "2",
                                "--mc-replays", "10", "--seed", "18",
                                "--solver", "kwik_restarts"]),
+    "kcfb-pieces-u8": ("u8", ["--algo", "kcfb", "--epsilon", "1.0", "--budget", "5600000",
+                              "--trials", "3", "--mc-replays", "20", "--seed", "19"]),
 }
 
 EXPECTED_SHA256 = {
     "kcfb-n10": "bd2c68213a1cdc12cb494586364e572ca2791f4e72f645b8947082d006bb739c",
     "kcfb-n10-r500": "f4d4e0ca0b38844729d88d9c75e654b00c7227a0ffdfee346f67a6cdfc53058c",
     "kcfb-n15": "00b206419a011ba01323359610c420d0c4e4a66e581fa35750819119400d4e8a",
+    "kcfb-pieces-u8": "82f160b32c934d0d24737282dee4c7cf7f3258a4ce1e4646e141bc8e700953d9",
     "kcfb-n6": "54123592fdb3669f7724243cb3009118c0f8ef268dbf2c5612a696da84b197a2",
     "kcfc-gauss-n64": "281e38a7e0053cb41b0eec1c541f0fb78debc5c97d628335d77c40b7795e6c77",
     "kcfc-gauss-n6": "0f3cc7ff236f404ebb257ae8cde04ff81ea8394c2f618d3d7105bb9540fc9ac0",
