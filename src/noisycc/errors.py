@@ -18,7 +18,7 @@ class InvalidClusteringError(NoisyccError, ValueError):
 
 
 class NoSamplesError(NoisyccError, ValueError):
-    """A statistic was requested for a pair that has never been pulled."""
+    """A confidence radius was requested before the first pull."""
 
 
 class BudgetExhaustedError(NoisyccError, RuntimeError):

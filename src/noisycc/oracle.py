@@ -56,7 +56,7 @@ from itertools import chain
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import BudgetExhaustedError, InvalidPairError, NoSamplesError, ParameterError
+from .errors import BudgetExhaustedError, InvalidPairError, ParameterError
 from .instance import Instance
 
 
@@ -279,7 +279,10 @@ class _Tape:
         self._means: memoryview | None = None
 
     def rewards(self, e: int, i: int, k: int) -> np.ndarray:
-        """Rewards i, ..., i + k - 1 of pair e as a new float64 array."""
+        """Rewards i, ..., i + k - 1 of pair e as a new float64 array; a
+        read of none draws nothing."""
+        if k == 0:
+            return np.empty(0)
         end = i + k
         if not self.packed:
             return self._cover(e, end)[i:end].copy()
@@ -603,6 +606,8 @@ class Oracle:
         if self._m > _TABLE_PAIRS:
             return None
         self._check(arms, 1)
+        if not arms:
+            return []
         pairs = np.array(arms, dtype=np.intp)
         if self._counts[pairs].any() or len(set(arms)) < len(arms):
             return None
@@ -641,14 +646,6 @@ class Oracle:
             self._check((e,), k)
         self._counts[e] = self._counts.item(e) + k
         self._total = total
-
-    def empirical_mean(self, e: int) -> float:
-        """The mean of pair e's rewards pulled so far, summed from the tape."""
-        self._check((e,), 0)
-        count = self._counts.item(e)
-        if count == 0:
-            raise NoSamplesError(f"pair {e} has never been pulled")
-        return self._tape.total(e, 0, count) / count
 
     def pulls_report(self) -> tuple[int, np.ndarray]:
         """(total pulls, per-pair pull counts) as a consistent snapshot."""

@@ -30,14 +30,13 @@ loop that selects and pulls one round at a time.
 Exactness rule: every round is computed with the arithmetic of a round on
 its own, the running mean ``mu + (r - mu) / k`` one reward at a time and
 radii from ``radius`` itself (memoised), never a cumulative sum over ``k``
-or a vectorised log.  The running means come from ``Oracle.running_means``:
-on a tape of at most 2048 pairs, an arm's first 512 from the tape's table,
-which numpy folds across all pairs one reward at a time with float64 ``-``,
-``/`` and ``+``, the same IEEE operations as the scalar fold; the rest, and
-all of them on a larger tape, from the scalar fold itself.  The first pulls,
-where every arm is unpulled, are the table's row 0 (``Oracle.first_means``):
-a mean of one reward is the reward.  One differing last bit can move an arm
-between the good and the bad set.
+or a vectorised log.  The running means come from ``Oracle.running_means``,
+which takes an arm's first means from the tape's table where it keeps one:
+numpy folds the table one reward at a time with float64 ``-``, ``/`` and
+``+``, the same IEEE operations as the scalar fold, which gives the rest.
+The first pulls, where every arm is unpulled, are the table's row 0
+(``Oracle.first_means``): a mean of one reward is the reward.  One differing
+last bit can move an arm between the good and the bad set.
 """
 
 from __future__ import annotations

@@ -6,13 +6,13 @@ import pytest
 from deadline import deadline
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reads import peek, pulled_mean
 
 from noisycc import (
     BudgetExhaustedError,
     Instance,
     InvalidPairError,
     NoiseModel,
-    NoSamplesError,
     Oracle,
     ParameterError,
     num_pairs,
@@ -32,11 +32,6 @@ from noisycc.oracle import (
 
 def one_pair_instance(s):
     return Instance(2, [s])
-
-
-def peek(o, e, k):
-    """The next k rewards of pair e as floats, without pulling them."""
-    return o._tape.rewards(e, o._counts.item(e), k).tolist()
 
 
 class TestBernoulliRewards:
@@ -182,8 +177,8 @@ class TestBlockReads:
         total, counts = b.pulls_report()
         assert (total, counts.tolist()) == (74, [0, 73, 1])
         # Both means are summed from the same rewards on the tape.
-        assert b.empirical_mean(1) == a.empirical_mean(1)
-        assert b.empirical_mean(2) == a.empirical_mean(2)
+        assert pulled_mean(b, 1) == pulled_mean(a, 1)
+        assert pulled_mean(b, 2) == pulled_mean(a, 2)
 
     @pytest.mark.parametrize("noise", [None, NoiseModel("gaussian", sigma=0.4)])
     def test_empty_reads_of_an_unread_pair(self, noise):
@@ -192,6 +187,15 @@ class TestBlockReads:
         o.advance(2, 0)
         assert o.pulls_report()[1].tolist() == [0, 0, 0]
         assert peek(o, 2, 3) == peek(Oracle(Instance(3, [0.3, 0.6, 0.9]), noise, seed=5), 2, 3)
+
+    def test_reads_of_nothing_draw_nothing(self):
+        # Neither read derives seed words, grows a tape or builds the table.
+        o = Oracle(Instance(5, STREAM_SIMS), seed=5)
+        assert o.pull_many(3, 0).tolist() == []
+        assert o.first_means([]) == []
+        assert o.total_pulls == 0
+        tape = o._tape
+        assert not tape._streams and not tape._word_blocks and tape._means is None
 
     def test_advance_respects_budget_atomically(self):
         o = Oracle(one_pair_instance(0.5), seed=0, budget=10)
@@ -224,27 +228,6 @@ class TestBlockReads:
 
 
 class TestAccounting:
-    def test_empirical_mean_arithmetic(self):
-        # Find a seed whose first three Bernoulli(0.5) rewards are 1, 0, 1.
-        inst = one_pair_instance(0.5)
-        for seed in range(200):
-            o = Oracle(inst, seed=seed)
-            rewards = [o.pull(0) for _ in range(3)]
-            if rewards == [1.0, 0.0, 1.0]:
-                assert o.empirical_mean(0) == 2.0 / 3.0
-                return
-        pytest.fail("no seed in range produced rewards [1, 0, 1]")
-
-    def test_empirical_mean_deterministic_pair(self):
-        o = Oracle(one_pair_instance(1.0), seed=0)
-        o.pull(0)
-        assert o.empirical_mean(0) == 1.0
-
-    def test_no_samples_error(self):
-        o = Oracle(one_pair_instance(0.5), seed=0)
-        with pytest.raises(NoSamplesError):
-            o.empirical_mean(0)
-
     def test_pulls_report_fresh(self):
         o = Oracle(Instance(4, [0.5] * 6), seed=0)
         total, per_pair = o.pulls_report()
@@ -264,8 +247,6 @@ class TestAccounting:
         o = Oracle(Instance(3, [0.5] * 3), seed=0)
         with pytest.raises(InvalidPairError):
             o.pull(3)
-        with pytest.raises(InvalidPairError):
-            o.empirical_mean(-1)
 
 
 class TestBudget:
@@ -436,7 +417,7 @@ class TestPullMeans:
         total_b, counts_b = b.pulls_report()
         assert total_a == total_b and np.array_equal(counts_a, counts_b)
         for e in set(arms):
-            assert a.empirical_mean(e) == b.empirical_mean(e)
+            assert pulled_mean(a, e) == pulled_mean(b, e)
 
     @pytest.mark.parametrize("noise", NOISES)
     def test_replay_returns_same_means(self, noise):
@@ -701,8 +682,8 @@ class TestTapeTotal:
 
 
 class TestEmpiricalMean:
-    """``empirical_mean`` is summed from the tape, so it equals the mean that
-    a replay reads for the same pulls, whatever calls made them."""
+    """A pair's empirical mean, the mean of its rewards pulled so far, is the
+    same whatever calls made the pulls: the tape holds the pair's stream."""
 
     @pytest.mark.parametrize("noise", NOISES)
     @pytest.mark.parametrize("seed", range(10))
@@ -718,7 +699,8 @@ class TestEmpiricalMean:
         counts = o.pulls_report()[1]
         assert counts[1] == 105 and counts[3] == 144
         for e in (1, 3):
-            assert o.empirical_mean(e) == o.replay().pull_many(e, counts[e]).mean()
+            fresh = Oracle(Instance(5, STREAM_SIMS), noise, seed=seed)
+            assert pulled_mean(o, e) == fresh.pull_many(e, counts[e]).mean()
 
     def test_advance_does_not_read_the_tape(self):
         # sigma * N(0, 1) overflows for most draws, so any read of the pair raises.
@@ -726,7 +708,7 @@ class TestEmpiricalMean:
         o.advance(0, 64)
         assert o.pulls_report()[1].tolist() == [64]
         with pytest.raises(ParameterError, match="non-finite reward for pair 0"):
-            o.empirical_mean(0)
+            pulled_mean(o, 0)
 
 
 def scalar_fold(rewards, k=0, mu=0.0):

@@ -5,6 +5,7 @@ import pytest
 from deadline import deadline
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reads import pulled_mean
 from tbhs_reference import reference_tbhs
 
 from noisycc import tbhs
@@ -180,7 +181,7 @@ def tbhs_outcome(run, inst, noise, seed, budget, arms, config):
     except BudgetExhaustedError as exc:
         result = (type(exc), str(exc))
     total, counts = oracle.pulls_report()
-    means = {e: oracle.empirical_mean(e) for e in np.flatnonzero(counts).tolist()}
+    means = {e: pulled_mean(oracle, e) for e in np.flatnonzero(counts).tolist()}
     return result, total, counts.tolist(), means
 
 
