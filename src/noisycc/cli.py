@@ -88,12 +88,16 @@ def _mc_expected_cost(
     replays: int,
 ) -> tuple[float, float]:
     rng = np.random.default_rng(replay_ss)
+    scores: dict | None = None
     if algo == "kcfc":
         return expected_cost_mc(instance, report.good_mask, replays, rng)
     if algo in ("kcfc-seq", "kcfb"):
         # One phase table per trial: the replays share the trial's reward
         # tape, so a phase they have seen before has the same outcome.
+        # Replays that take one path through it return one clustering, which
+        # is scored once.
         memo: dict = {}
+        scores = {}
 
         def draw():
             return run(oracle.replay(), rng, memo).clustering
@@ -104,7 +108,7 @@ def _mc_expected_cost(
         # The run's own estimates: the solver's restarts are all that vary.
         def draw():
             return solver.solve(report.estimates, instance.n, rng)
-    return offline.mean_cost(instance, draw, replays)
+    return offline.mean_cost(instance, draw, replays, scores)
 
 
 def _bound_ref(algo: str, instance: Instance, args, solver: OfflineSolver) -> float | None:

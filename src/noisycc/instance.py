@@ -31,8 +31,9 @@ def pair_index(u: int, v: int, n: int) -> int:
 
 def incident_pairs(p: int, others: np.ndarray, n: int) -> np.ndarray:
     """Pair indices of (p, u) for every element u in ``others`` (none equal to p):
-    entries of row p of the cached ``_pair_table(n)``."""
-    return _pair_table(n)[p, others]
+    entries of row p of the cached ``_pair_table(n)``, indexed through the
+    row's view, which is cheaper than a (scalar, array) index of the table."""
+    return _pair_table(n)[p][others]
 
 
 @lru_cache(maxsize=None)

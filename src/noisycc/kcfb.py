@@ -78,7 +78,7 @@ def run_kcfb(
         v_r = len(arms) + 1
         # The last survivor has no pair to pull (and tau is 0 when n = 1).
         join = oracle.pull_above(arms, tau) if len(arms) else np.zeros(0, dtype=bool)
-        return join, next_tau(tau, v_r, v_r - 1 - int(join.sum())), (tau, len(arms))
+        return join, next_tau(tau, v_r, v_r - 1 - np.count_nonzero(join)), (tau, len(arms))
 
     labels, facts = pivot_cluster(n, rng, step, budget // m if m > 0 else 0, memo)
     used = 0

@@ -87,12 +87,13 @@ def pivot_cluster(
     survivors = np.arange(n, dtype=np.int64).tobytes()
     facts = []
     while survivors:
-        remaining = np.frombuffer(survivors, dtype=np.int64)
-        i = int(rng.integers(len(remaining)))
+        # Eight bytes per survivor; the array is built only for a step.
+        i = int(rng.integers(len(survivors) >> 3))
         key = None if memo is None else (survivors, i, state)
         outcome = None if key is None else memo.get(key)
         if outcome is None:
-            p = int(remaining[i])
+            remaining = np.frombuffer(survivors, dtype=np.int64)
+            p = remaining.item(i)
             others = np.concatenate((remaining[:i], remaining[i + 1 :]))
             join, next_state, fact = step(incident_pairs(p, others, n), state)
             outcome = (p, others[join], others[~join].tobytes(), next_state, fact)
@@ -111,11 +112,21 @@ def kwikcluster(sims: np.ndarray, n: int, rng: np.random.Generator | None) -> np
 
 
 def mean_cost(
-    instance: Instance, draw: Callable[[], np.ndarray], trials: int
+    instance: Instance,
+    draw: Callable[[], np.ndarray],
+    trials: int,
+    scores: dict | None = None,
 ) -> tuple[float, float]:
     """Mean and standard error (0 for one trial) of the cost of ``trials``
     clusterings drawn by calling ``draw()``; ParameterError, before any
-    draw, if the ``trials`` costs do not fit in memory."""
+    draw, if the ``trials`` costs do not fit in memory.
+
+    ``scores`` is for draws that often repeat a clustering, as replays that
+    share a phase table do; each ``draw()`` then returns a label array of
+    one dtype.  It maps label bytes to their ``pairwise_cost``, so a
+    clustering drawn before reuses that float, and the mean and error are
+    those of scoring every draw.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     try:
@@ -123,7 +134,14 @@ def mean_cost(
     except (MemoryError, ValueError) as exc:  # ValueError: past numpy's dimension limit
         raise ParameterError(f"cannot hold the costs of {trials} trials: {exc}") from None
     for t in range(trials):
-        costs[t] = pairwise_cost(instance.sims, draw())
+        labels = draw()
+        key = None if scores is None else labels.tobytes()
+        score = None if key is None else scores.get(key)
+        if score is None:
+            score = pairwise_cost(instance.sims, labels)
+            if key is not None:
+                scores[key] = score
+        costs[t] = score
     mean = float(costs.mean())
     stderr = float(costs.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr

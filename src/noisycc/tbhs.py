@@ -199,13 +199,20 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
     # The selection keys are (-LCB, e) and (UCB, e).  A heap entry is stale
     # once its key differs from the arm's current key; a stale entry whose
     # key still equals it selects the same arm as the live one.  The first
-    # pulls are read up to the first arm that is not a pair index or that the
-    # budget cannot cover; pulling that arm then raises where pulling arm by
-    # arm would.  Where every arm is covered and unpulled, they are row 0 of
-    # the tape's table, if it keeps one.
+    # pulls are read up to the first arm that is not a pair index, that the
+    # budget cannot cover or whose count is at the oracle's limit; pulling
+    # that arm then raises where pulling arm by arm would.  Where every arm is
+    # covered and unpulled, they are row 0 of the tape's table, if it keeps
+    # one.
     covered = bisect_left(arm_list, oracle.instance.m)
     if oracle.budget is not None:
         covered = min(covered, max(oracle.budget - oracle.total_pulls, 0))
+    # No pair's count exceeds the total, so only then can one be at the limit.
+    if oracle.total_pulls >= _MAX_PULLS:
+        counts = oracle.pulls_report()[1]
+        covered = next(
+            (j for j, e in enumerate(arm_list[:covered]) if counts[e] == _MAX_PULLS), covered
+        )
     first = oracle.first_means(arm_list) if covered == m else None
     if first is None:
         first = oracle.pull_means(arm_list[:covered], 1).tolist()

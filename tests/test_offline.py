@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -20,6 +21,7 @@ from noisycc import (
     num_pairs,
     pair_index,
 )
+from noisycc import offline
 from noisycc.instance import pair_mask
 from noisycc.offline import (
     _subset_dp,
@@ -30,6 +32,7 @@ from noisycc.offline import (
     pivot_cluster,
 )
 from partitions import enumerated_opt, iter_partitions
+from pivot_reference import reference_kwikcluster
 from subset_dp_reference import reference_subset_dp
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -179,6 +182,31 @@ class TestKwikCluster:
             assert labels[0] == labels[1] != labels[2]
 
 
+class TestPivotEngine:
+    """``pivot_cluster`` against ``tests/pivot_reference.py``: the same labels
+    and the same generator state after every run, with and without a phase
+    memo shared by the runs, as Monte-Carlo replays share one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_matches_the_reference_loop(self, n, data):
+        m = num_pairs(n)
+        value = st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]) | st.floats(0.0, 1.0)
+        sims = np.array(data.draw(st.lists(value, min_size=m, max_size=m)), dtype=np.float64)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        memo = data.draw(st.sampled_from([None, {}]))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(4):
+            if memo is None:
+                labels = kwikcluster(sims, n, rng)
+            else:
+                step = lambda arms, _: (sims[arms] > 0.5, None, None)  # noqa: E731
+                labels = pivot_cluster(n, rng, step, memo=memo)[0]
+            expected = reference_kwikcluster(sims, n, ref_rng)
+            assert labels.dtype == expected.dtype and np.array_equal(labels, expected)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestExpectedCostMc:
     def test_noiseless_planted_is_exact_zero(self):
         inst = generate(GeneratorSpec("planted", n=6, k=3, in_mean=1.0, out_mean=0.0))
@@ -211,6 +239,70 @@ class TestExpectedCostMc:
 
         with pytest.raises(ParameterError, match=f"costs of {trials} trials"):
             mean_cost(Instance(2, [0.5]), draw, trials)
+
+
+class TestMeanCost:
+    """The score table: a clustering drawn again reuses its score."""
+
+    A = [0, 0, 1, 1, 2]
+    B = [0, 1, 1, 2, 2]
+    # Contents of one buffer that is overwritten in place between its draws;
+    # the last equals A.
+    BUFFER = [[0, 1, 0, 1, 0], [0, 0, 0, 0, 0], [0, 0, 1, 1, 2]]
+
+    def drawer(self):
+        """Draws cycling through A, B and the buffer, whose contents move on
+        each time it is drawn."""
+        a, b = np.array(self.A, dtype=np.int64), np.array(self.B, dtype=np.int64)
+        buffer = np.zeros(5, dtype=np.int64)
+        drawn = []
+
+        def draw():
+            t = len(drawn)
+            if t % 3 == 2:
+                buffer[:] = self.BUFFER[t // 3 % 3]
+            labels = (a, b, buffer)[t % 3]
+            drawn.append(labels.tobytes())
+            return labels
+
+        return draw, drawn
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 10, 31])
+    def test_scores_each_clustering_once(self, trials, monkeypatch):
+        inst = generate(GeneratorSpec("uniform_random", n=5, seed=11))
+        draw, _ = self.drawer()
+        plain = np.array([pairwise_cost(inst.sims, draw()) for _ in range(trials)])
+        stderr = float(plain.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+
+        scored = []
+
+        def counting(sims, labels):
+            scored.append(labels.tobytes())
+            return pairwise_cost(sims, labels)
+
+        monkeypatch.setattr(offline, "pairwise_cost", counting)
+        for scores in (None, {}):
+            scored.clear()
+            draw, drawn = self.drawer()
+            mean, err = mean_cost(inst, draw, trials, scores)
+            assert mean.hex() == float(plain.mean()).hex()
+            assert err.hex() == stderr.hex()
+            assert len(drawn) == trials
+            # Without a score table every draw is scored.
+            assert sorted(scored) == sorted(drawn if scores is None else set(drawn))
+
+    def test_kwikcluster_replays_keep_no_clusterings(self):
+        # KwikCluster replays seldom repeat a clustering; holding each one
+        # they drew (about 8n + 100 bytes) took over 1 MiB here.
+        inst = generate(GeneratorSpec("uniform_random", n=60, seed=1))
+        expected_cost_mc(inst, inst.sims, 1, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            expected_cost_mc(inst, inst.sims, 2000, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**18
 
 
 class TestPartitionEnumeration:

@@ -234,6 +234,28 @@ class TestMatchesRoundAtATime:
             case = (inst, None, seed, budget, arms, TbhsConfig(0.05, 0.1))
             assert tbhs_outcome(run_tbhs, *case) == tbhs_outcome(reference_tbhs, *case)
 
+    @pytest.mark.parametrize("limit_arm,arms", [
+        (0, [0, 1, 2]),
+        (1, [0, 1, 2]),
+        (2, [0, 1, 2]),
+        (1, [0, 2]),  # the arm at the limit is not the bandit's
+    ])
+    def test_first_pulls_stop_at_the_count_limit(self, limit_arm, arms):
+        # The arms before the one at the limit are pulled, and pulling that
+        # one raises.  Only counters are compared: a reward read of an arm at
+        # such a count would grow its tape toward 2**63 rewards.
+        def outcome(run):
+            oracle = Oracle(Instance(3, [0.9, 0.1, 0.8]))
+            oracle.advance(limit_arm, 2**63 - 1)
+            try:
+                result = run(oracle, arms, TbhsConfig(0.1, 0.1))
+            except ParameterError as exc:
+                result = str(exc)
+            total, counts = oracle.pulls_report()
+            return result, total, counts.tolist()
+
+        assert outcome(run_tbhs) == outcome(reference_tbhs)
+
     def test_beyond_the_radius_memo(self):
         # Tens of thousands of pulls of one arm: radii past the memoised
         # counts come from radius() directly, and the memo stays bounded.
