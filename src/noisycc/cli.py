@@ -246,6 +246,10 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
             record = _run_trial(algo, instance, args, trial, opt_value, bound, solver, noise)
         except NoisyccError as exc:
             parser.error(f"trial {trial} ({algo}): {exc}")
+        except MemoryError as exc:
+            # numpy's MemoryError names the allocation; a bare one has no message.
+            detail = f": {exc}" if str(exc) else ""
+            parser.error(f"trial {trial} ({algo}): out of memory{detail}")
         records.append(record)
 
     lines = [CSV_COLUMNS] + [r.to_csv_row() for r in records]

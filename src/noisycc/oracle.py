@@ -4,17 +4,12 @@ Each pull of pair ``e`` returns an independent sample with mean ``s(e)``:
 a Bernoulli draw, or ``s(e)`` plus Gaussian noise (not clamped to [0, 1]).
 Raw noise draws come from per-pair substreams: pair ``e`` reads the PCG64
 stream of ``SeedSequence(entropy=seed, spawn_key=(e,))``, so the pull order
-across pairs never changes any pair's reward sequence.  The seed words of
-a block of pairs are derived at once, by running SeedSequence's hash over
-arrays, when the first pair of the block is read.  A Bernoulli reward is
-one 64-bit output of its pair's stream, so each growth of a Bernoulli pair
-rebuilds its generator from the seed words and jumps it to the tape's end
-with ``PCG64.advance``; a Gaussian pair keeps its generator, since
-``standard_normal`` rejects some outputs and no jump count finds its place.
+across pairs never changes any pair's reward sequence.
 
-Rewards are memoized on a shared tape (Bernoulli rewards bit-packed,
-Gaussian rewards as floats), the one record of them: an oracle keeps only
-pull counts.  So ``replay()`` is cheap: a replayed oracle re-observes the
+Rewards are memoized on a shared tape, the one record of them: a
+``_BitTape`` of Bernoulli rewards, one bit each, or a ``_FloatTape`` of
+Gaussian ones, chosen once from the noise model.  An oracle keeps only pull
+counts.  So ``replay()`` is cheap: a replayed oracle re-observes the
 identical reward sequence per pair while keeping its own counters, so
 conditional expectations over the algorithm's internal randomness can be
 estimated with the noise realization held fixed.
@@ -25,22 +20,20 @@ and ``advance`` counts them as pulled (the threshold bandit); ``pull_means``
 reads the mean of k pulls of each arm of a phase (the uniform baselines, and
 the bandit's first pulls where ``first_means`` cannot serve them);
 ``pull_above`` reads whether each such mean exceeds 0.5 (``kcfb``); and
-``pull`` and ``pull_many`` return the rewards themselves, read by
-``_Tape.rewards`` as is the bandit's fold past the table.  The tape keeps
-the count of ones of each Bernoulli pair that ``pull_above`` reads, which
-bounds the ones among its first k rewards, so ``pull_above`` decides most
-tests from it and draws new rewards only until the answer is settled.
+``pull`` and ``pull_many`` return the rewards themselves, read by the tape's
+``rewards`` as is the bandit's fold past the table.  A ``_BitTape`` keeps
+the count of ones of each pair that ``pull_above`` reads, which bounds the
+ones among its first k rewards, so ``pull_above`` decides most tests from it
+and draws new rewards only until the answer is settled.
 
-``_Tape.draw_first`` is the tape's one block draw: it draws the first
-rewards of the Bernoulli pairs that have no tape yet, each pair's stream
-into one row of a float block, for both phase reads, of at most
-``_ROW_CAP`` pulls, and for the table below.  PCG64 streams are independent
-of where they are drawn, so a row holds the same rewards as the pair's own
-growth would.  On a tape of at most ``_TABLE_PAIRS`` pairs, the first time
-a bandit reads it, the tape draws the first ``_COLUMNS`` rewards of every
-pair (Bernoulli pairs by the block draw, Gaussian pairs one by one) and
-folds their running means into a table, which the tape's replays share;
-its row 0, every pair's reward 0, is the bandit's first pulls.
+``_BitTape.draw_first`` is the tape's one block draw: it draws the first
+rewards of the pairs that have no tape yet, each pair's stream into one row
+of a float block (PCG64 streams do not depend on where they are drawn), for
+both phase reads of at most ``_ROW_CAP`` pulls and for ``_Tape.table``: on
+a tape of at most ``_TABLE_PAIRS`` pairs, a bandit's first read draws the
+first ``_COLUMNS`` rewards of every pair (a ``_FloatTape`` pair by pair) and
+folds their running means into a table that the tape's replays share; its
+row 0, every pair's reward 0, is the bandit's first pulls.
 
 No read may take a pair's pull count to 2**63 or more, which the int64
 counters cannot record; such a read is rejected before any draw.
@@ -204,17 +197,17 @@ def _count(count: int) -> str:
     return f"{count // 10 ** (digits - 10)}... ({digits} digits)"
 
 
-def _ones_in(packed: np.ndarray) -> int:
-    """The number of set bits in an array of packed bytes."""
-    if len(packed) > _UNPACK_BYTES:
+def _ones_in(buf: np.ndarray) -> int:
+    """The number of set bits in an array of bytes."""
+    if len(buf) > _UNPACK_BYTES:
         step = _PIECE // 8
         return sum(
-            int(np.count_nonzero(np.unpackbits(packed[j : j + step])))
-            for j in range(0, len(packed), step)
+            int(np.count_nonzero(np.unpackbits(buf[j : j + step])))
+            for j in range(0, len(buf), step)
         )
     # A copy: reading through a memoryview of the tape raised the peak RSS
     # of repeated n = 120 kcfb runs by about 0.5 MB.
-    return int.from_bytes(packed.tobytes(), "little").bit_count()
+    return int.from_bytes(buf.tobytes(), "little").bit_count()
 
 
 def _folded(rewards: Iterable[float], k: int, mu: float) -> Iterator[float]:
@@ -228,79 +221,34 @@ def _folded(rewards: Iterable[float], k: int, mu: float) -> Iterator[float]:
 
 
 class _Tape:
-    """Lazily materialized rewards per pair, shared between replays.
-
-    A Bernoulli tape is bit-packed (``np.packbits``, the first reward in the
-    high bit of byte 0) and grows by whole bytes; a Gaussian tape holds
-    float rewards; a Bernoulli sum counts the set bits of the covering bytes.
-    Once ``above`` has read a Bernoulli pair, its tape keeps the count ``o``
-    of ones among its ``h`` rewards, adding the ones of each growth, counted
-    from the growth's compare before it is packed.  The ones among the
-    first k rewards then lie in
-    ``[o - max(h - k, 0), o + max(k - h, 0)]``, and ``above`` answers
-    ``2 * ones > k`` (the test ``ones / k > 0.5`` for k below ``_EXACT_K``)
-    from these bounds when they settle it, growing the tape only as far as
-    needed to settle it.  Pair e's generator is ``Generator(PCG64(words))``
-    with the words of ``SeedSequence(entropy=seed, spawn_key=(e,))``.
-    ``_seed_words`` derives them for the ``_WORD_BLOCK`` pairs of e's block
-    at once, the first time any pair of the block is read, and the tape
-    keeps them for its replays.  A Bernoulli tape keeps no generator, which
-    would cost about 780 bytes a pair: each of its rewards is one ``random``
-    draw, one 64-bit PCG64 output, so every growth builds the pair's
-    generator anew and jumps it past the h rewards on the tape with
-    ``bit_generator.advance(h)``.  A Gaussian tape keeps its pairs'
-    generators: ``standard_normal`` rejects a varying number of outputs, so
-    no jump count finds the end of its tape.  A Gaussian growth that draws a
-    non-finite reward forgets the pair's tape and generator, so that its
-    next read draws the stream from reward 0 again.  A tape grows at least
-    by doubling.  numpy's ``random`` and ``standard_normal`` streams do not
+    """Lazily materialized rewards per pair, shared between replays: the
+    state of both kinds, ``_BitTape`` and ``_FloatTape``, each of which
+    reads and grows its own storage (``rewards``, ``total``, ``above``,
+    ``draw_first``, ``_cover`` and ``_columns``).  A tape grows at least by
+    doubling; numpy's ``random`` and ``standard_normal`` streams do not
     depend on how the draws are split, so neither the growth rule, the byte
     rounding, the pieces of ``_PIECE`` draws nor the block draws of
     ``draw_first`` change any reward.
-
-    On a tape of at most ``_TABLE_PAIRS`` pairs, ``table`` keeps a table of
-    the running means of every pair's first ``_COLUMNS`` rewards, 4 KiB per
-    pair, filled at its first read from the pairs' tapes and freed with the
-    tape.
     """
 
-    def __init__(self, seed: int, sims: np.ndarray, noise: NoiseModel) -> None:
+    def __init__(self, seed: int, sims: np.ndarray) -> None:
         self.seed = seed
         self.sims = sims
-        self.noise = noise
-        self.packed = noise.kind == "bernoulli"
         self._word_blocks: dict[int, np.ndarray] = {}
         self._streams: dict[int, np.ndarray] = {}
-        # Ones on the tape of each pair that ``above`` has read.
-        self._ones: dict[int, int] = {}
-        # Each Gaussian pair's generator, at the end of its tape.
-        self._rngs: dict[int, np.random.Generator] = {}
         # Entry j * m + e: the running mean of pair e's first j + 1 rewards.
         self._means: memoryview | None = None
 
-    def rewards(self, e: int, i: int, k: int) -> np.ndarray:
-        """Rewards i, ..., i + k - 1 of pair e as a new float64 array; a
-        read of none draws nothing."""
-        if k == 0:
-            return np.empty(0)
-        end = i + k
-        if not self.packed:
-            return self._cover(e, end)[i:end].copy()
-        lo = i >> 3
-        bits = np.unpackbits(self._cover(e, end)[lo : (end + 7) >> 3])
-        return bits[i - 8 * lo : end - 8 * lo].astype(np.float64)
-
     def running_means(self, e: int, i: int, k: int, mu: float, run: int) -> Iterable[float]:
         """The running means after each of rewards i, ..., i + run - 1 of
-        pair e: ``mu += (r - mu) / k`` one reward at a time, with k counting
-        on from ``k`` and the mean from ``mu``.
-
+        pair e: ``mu += (r - mu) / k`` one reward at a time, k counting on
+        from ``k`` and the mean from ``mu``; a read of none draws nothing.
         Where the tape keeps a table and i == k, the fold began at reward 0,
         so its means up to reward ``_COLUMNS`` are the table's, the same
-        floats; a run that lies in the table is returned as a strided view
-        of it.  Past the table, and otherwise, the means are folded as they
-        are consumed.
-        """
+        floats (a run within the table is a strided view of it); past the
+        table, and otherwise, the means are folded as they are consumed."""
+        if run == 0:
+            return ()
         means = self.table() if i == k < _COLUMNS else None
         if means is None:
             return _folded(self.rewards(e, i, run).tolist(), k, mu)
@@ -323,22 +271,15 @@ class _Tape:
     def _fold_means(self) -> memoryview:
         """The table of running means of every pair, folded in place a row
         at a time with numpy's float64 ``-``, ``/`` and ``+``, the same IEEE
-        operations as the scalar ``mu += (r - mu) / k``.
-
-        ``draw_first`` draws the first ``_COLUMNS`` rewards of every pair
-        that has no tape yet, and ``_cover`` grows any shorter tape; one
-        transposed copy of the tapes of ``_TABLE_BLOCK`` pairs at a time
-        fills the table's columns.
-        """
+        operations as the scalar ``mu += (r - mu) / k``, from the first
+        ``_COLUMNS`` rewards, which ``draw_first`` draws where a pair has no
+        tape yet and ``_columns`` reads, ``_TABLE_BLOCK`` pairs at a time."""
         m = len(self.sims)
         self.draw_first(range(m), _COLUMNS, count=False)
         table = np.empty((_COLUMNS, m))
-        width = _COLUMNS // 8 if self.packed else _COLUMNS
         for lo in range(0, m, _TABLE_BLOCK):
             hi = min(lo + _TABLE_BLOCK, m)
-            tapes = np.array([self._cover(e, _COLUMNS)[:width] for e in range(lo, hi)]).T
-            # Byte b of a pair unpacks, along axis 0, to rows 8b to 8b + 7.
-            table[:, lo:hi] = np.unpackbits(tapes, axis=0) if self.packed else tapes
+            table[:, lo:hi] = self._columns(lo, hi)
         mu = np.zeros(m)
         for j, row in enumerate(table, 1):
             row -= mu
@@ -347,16 +288,56 @@ class _Tape:
             mu = row
         return memoryview(table).cast("B").cast("d")
 
+    def _generator(self, e: int) -> np.random.Generator:
+        """A new generator of pair e's stream, from the seed words of e's
+        block, derived the first time any pair of the block is read."""
+        block, row = divmod(e, _WORD_BLOCK)
+        words = self._word_blocks.get(block)
+        if words is None:
+            start = block * _WORD_BLOCK
+            pairs = np.arange(start, min(start + _WORD_BLOCK, len(self.sims)))
+            words = self._word_blocks[block] = _seed_words(self.seed, pairs)
+        return np.random.Generator(np.random.PCG64(_StateWords(words[row])))
+
+
+class _BitTape(_Tape):
+    """Bernoulli rewards, eight to a byte (``np.packbits``, the first reward
+    in the high bit of byte 0), growing by whole bytes; a sum counts the set
+    bits of the covering bytes.  Once ``above`` has read a pair, ``_ones``
+    keeps its count of ones, adding each growth's, counted from its compare.
+    The tape keeps no generator, which would cost about 780 bytes a pair: a
+    reward is one ``random`` draw, one 64-bit PCG64 output, so a growth
+    builds the pair's generator anew and jumps it past the tape's h rewards
+    with ``bit_generator.advance(h)``.
+    """
+
+    def __init__(self, seed: int, sims: np.ndarray) -> None:
+        super().__init__(seed, sims)
+        self._ones: dict[int, int] = {}
+
+    def rewards(self, e: int, i: int, k: int) -> np.ndarray:
+        """Rewards i, ..., i + k - 1 of pair e as a new float64 array; k == 0 draws nothing."""
+        if k == 0:
+            return np.empty(0)
+        end, lo = i + k, i >> 3
+        bits = np.unpackbits(self._cover(e, end)[lo : (end + 7) >> 3])
+        return bits[i - 8 * lo : end - 8 * lo].astype(np.float64)
+
+    def _columns(self, lo: int, hi: int) -> np.ndarray:
+        """The first ``_COLUMNS`` rewards of pairs lo to hi - 1, a column each."""
+        tapes = np.array([self._cover(e, _COLUMNS)[: _COLUMNS // 8] for e in range(lo, hi)]).T
+        # Byte b of a pair unpacks, along axis 0, to rows 8b to 8b + 7.
+        return np.unpackbits(tapes, axis=0)
+
     def draw_first(self, arms: Iterable[int], k: int, count: bool) -> None:
         """Before a read of k pulls of each of ``arms``, draw the first
         ``max(_FIRST_DRAW, k)`` rewards (whole bytes) of each arm that has
         no tape yet, in blocks of at most ``_PHASE_FLOATS`` rewards: each
-        arm's stream into one row of a float block, compared and packed
-        once per block, and each row's ones counted from the compare; with
-        ``count`` (``above`` reads the arms) the tape keeps them.  A
-        Gaussian tape, or a read of more than ``_ROW_CAP`` pulls, draws
-        each arm as it is read."""
-        if not self.packed or k > _ROW_CAP:
+        arm's stream into one row of a float block, compared and turned to
+        bits once per block, and each row's ones counted from the compare;
+        with ``count`` (``above`` reads the arms) the tape keeps them.  A
+        read of more than ``_ROW_CAP`` pulls draws each arm as it is read."""
+        if k > _ROW_CAP:
             return
         streams = self._streams
         # An arm read twice is drawn once.
@@ -379,13 +360,9 @@ class _Tape:
             if count:
                 self._ones.update(zip(pairs, hits.sum(axis=1).tolist()))
 
-    def total(self, e: int, i: int, k: int) -> float:
-        """Sum of rewards i, ..., i + k - 1 of pair e, for k >= 1: the number
-        of ones, as an int (Bernoulli), or the float sum of the tape's
-        contiguous slice (Gaussian), as a copy of it sums."""
+    def total(self, e: int, i: int, k: int) -> int:
+        """The number of ones among rewards i, ..., i + k - 1 of pair e, k >= 1."""
         end = i + k
-        if not self.packed:
-            return float(self._cover(e, end)[i:end].sum())
         lo, hi = i >> 3, (end + 7) >> 3
         covering = self._cover(e, end)[lo:hi]
         ones = _ones_in(covering)
@@ -396,17 +373,13 @@ class _Tape:
         return ones
 
     def above(self, e: int, i: int, k: int) -> bool:
-        """Whether ``total(e, i, k) / k > 0.5``, for k >= 1.
-
-        A Bernoulli pair read from reward 0 is decided from its ones count
-        where the bounds settle it.  Where they do not and the tape holds k
-        rewards, the first k are counted; where it holds fewer, it grows to
-        the length at which s(e) should settle them,
-        ``k / (2 * max(s, 1 - s))`` plus about four standard deviations of
-        the ones count, and on from there (by ``_cover``'s doubling) until
-        they settle or it holds k.
-        """
-        if i or not self.packed or k >= _EXACT_K:
+        """Whether ``total(e, i, k) / k > 0.5``, for k >= 1: for i == 0,
+        ``2 * ones > k`` (below ``_EXACT_K``), decided by the bounds of the
+        ones count where they settle it; else the first k are counted once
+        the tape holds k, and before that it grows to the length at which
+        s(e) should settle them, ``k / (2 * max(s, 1 - s))`` plus about four
+        standard deviations of the ones count, and on by doubling."""
+        if i or k >= _EXACT_K:
             return self.total(e, i, k) / k > 0.5
         if e not in self._ones:  # _cover keeps the count from now on
             buf = self._streams.get(e)
@@ -431,59 +404,83 @@ class _Tape:
     def _cover(self, e: int, end: int) -> np.ndarray:
         """Pair e's tape, grown to hold at least ``end`` rewards."""
         buf = self._streams.get(e)
-        have = 0 if buf is None else len(buf) << 3 if self.packed else len(buf)
+        have = 0 if buf is None else len(buf) << 3
         if buf is not None and end <= have:
             return buf
-        grow = max(end - have, have, _FIRST_DRAW)
+        grow = -(-max(end - have, have, _FIRST_DRAW) // 8) * 8
         s = self.sims[e]
         parts = [] if buf is None else [buf]
-        if self.packed:
-            # Each reward is one 64-bit output of the stream, so a jump of
-            # ``have`` outputs lands on the tape's end.
-            rng = self._generator(e)
-            if have:
-                rng.bit_generator.advance(have)
-            grow = -(-grow // 8) * 8
-            ones = 0
-            for j in range(0, grow, _PIECE):
-                hits = rng.random(min(_PIECE, grow - j)) < s
-                parts.append(np.packbits(hits))
-                ones += int(np.count_nonzero(hits))
-            if e in self._ones:
-                self._ones[e] += ones
-        else:
-            rng = self._rngs.get(e) or self._generator(e)
-            fresh = rng.standard_normal(grow)
-            with np.errstate(over="ignore"):
-                fresh *= self.noise.sigma
-                fresh += s
-            if not np.isfinite(fresh).all():
-                # The generator has moved past the tape's end: forget both,
-                # so that the pair's next read draws its stream from reward 0.
-                self._rngs.pop(e, None)
-                self._streams.pop(e, None)
-                raise ParameterError(
-                    f"gaussian noise with sigma={self.noise.sigma} drew a"
-                    f" non-finite reward for pair {e}"
-                )
-            self._rngs[e] = rng
-            parts.append(fresh)
+        rng = self._generator(e)
+        if have:
+            rng.bit_generator.advance(have)
+        ones = 0
+        for j in range(0, grow, _PIECE):
+            hits = rng.random(min(_PIECE, grow - j)) < s
+            parts.append(np.packbits(hits))
+            ones += int(np.count_nonzero(hits))
+        if e in self._ones:
+            self._ones[e] += ones
         # A first growth of one part is stored as drawn: copying it made such
         # a growth about 10 % slower.
         buf = parts[0] if len(parts) == 1 else np.concatenate(parts)
         self._streams[e] = buf
         return buf
 
-    def _generator(self, e: int) -> np.random.Generator:
-        """A new generator of pair e's stream, from the seed words of e's
-        block, derived the first time any pair of the block is read."""
-        block, row = divmod(e, _WORD_BLOCK)
-        words = self._word_blocks.get(block)
-        if words is None:
-            start = block * _WORD_BLOCK
-            pairs = np.arange(start, min(start + _WORD_BLOCK, len(self.sims)))
-            words = self._word_blocks[block] = _seed_words(self.seed, pairs)
-        return np.random.Generator(np.random.PCG64(_StateWords(words[row])))
+
+class _FloatTape(_Tape):
+    """Gaussian rewards, ``s(e) + sigma * standard_normal()``, as floats.
+    The tape keeps its pairs' generators: ``standard_normal`` rejects a
+    varying number of outputs, so no jump count finds a tape's end."""
+
+    def __init__(self, seed: int, sims: np.ndarray, sigma: float) -> None:
+        super().__init__(seed, sims)
+        self.sigma = sigma
+        # Each pair's generator, at the end of its tape.
+        self._rngs: dict[int, np.random.Generator] = {}
+
+    def rewards(self, e: int, i: int, k: int) -> np.ndarray:
+        """Rewards i, ..., i + k - 1 of pair e as a new float64 array; k == 0 draws nothing."""
+        return self._cover(e, i + k)[i : i + k].copy() if k else np.empty(0)
+
+    def _columns(self, lo: int, hi: int) -> np.ndarray:
+        """The first ``_COLUMNS`` rewards of pairs lo to hi - 1, a column each."""
+        return np.array([self._cover(e, _COLUMNS)[:_COLUMNS] for e in range(lo, hi)]).T
+
+    def draw_first(self, arms: Iterable[int], k: int, count: bool) -> None:
+        """Nothing: a float tape draws each arm as it is read."""
+
+    def total(self, e: int, i: int, k: int) -> float:
+        """The sum of rewards i, ..., i + k - 1 of pair e, as a copy sums."""
+        return float(self._cover(e, i + k)[i : i + k].sum())
+
+    def above(self, e: int, i: int, k: int) -> bool:
+        """Whether ``total(e, i, k) / k > 0.5``, for k >= 1."""
+        return self.total(e, i, k) / k > 0.5
+
+    def _cover(self, e: int, end: int) -> np.ndarray:
+        """Pair e's tape, grown to hold at least ``end`` rewards."""
+        buf = self._streams.get(e)
+        have = 0 if buf is None else len(buf)
+        if buf is not None and end <= have:
+            return buf
+        rng = self._rngs.get(e) or self._generator(e)
+        fresh = rng.standard_normal(max(end - have, have, _FIRST_DRAW))
+        with np.errstate(over="ignore"):
+            fresh *= self.sigma
+            fresh += self.sims[e]
+        if not np.isfinite(fresh).all():
+            # The generator has moved past the tape's end: forget both,
+            # so that the pair's next read draws its stream from reward 0.
+            self._rngs.pop(e, None)
+            self._streams.pop(e, None)
+            raise ParameterError(
+                f"gaussian noise with sigma={self.sigma} drew a"
+                f" non-finite reward for pair {e}"
+            )
+        self._rngs[e] = rng
+        buf = fresh if buf is None else np.concatenate((buf, fresh))
+        self._streams[e] = buf
+        return buf
 
 
 class Oracle:
@@ -511,7 +508,10 @@ class Oracle:
         self._m = m = instance.m
         self._counts = np.zeros(m, dtype=np.int64)
         self._total = 0
-        self._tape = _tape if _tape is not None else _Tape(seed, instance.sims, self.noise)
+        self._tape = _tape if _tape is not None else (
+            _BitTape(seed, instance.sims) if self.noise.kind == "bernoulli"
+            else _FloatTape(seed, instance.sims, self.noise.sigma)
+        )
 
     @property
     def total_pulls(self) -> int:
@@ -579,10 +579,10 @@ class Oracle:
         return self._read_phase(arms, k, above=True)
 
     def _read_phase(self, arms: Iterable[int], k: int, above: bool) -> np.ndarray:
-        """``_Tape.above(e, i, k)``, or else ``_Tape.total(e, i, k)``, for
+        """The tape's ``above(e, i, k)``, or else its ``total(e, i, k)``, for
         each arm e at its count i, tallying k pulls of each, after checking
         every arm, k >= 1 and the block's budget.  The arms that have no
-        tape yet are drawn first, in blocks (``_Tape.draw_first``)."""
+        tape yet are drawn first, in blocks (``_BitTape.draw_first``)."""
         arms = arms.tolist() if isinstance(arms, np.ndarray) else list(arms)
         self._check(arms, k, least=1)
         tape = self._tape

@@ -5,6 +5,7 @@ from deadline import deadline
 
 from noisycc import Instance, load_instance, save_instance
 from noisycc.cli import CSV_COLUMNS, main
+from noisycc.oracle import _BitTape
 
 THREE_ARM = Instance(3, [0.9, 0.1, 0.55])
 
@@ -485,6 +486,28 @@ class TestBadRunInputs:
                                  "--out", str(out)], capsys)
         assert line == ("noisycc: error: n=3000000 is too large:"
                         " the instance does not fit in memory")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("message, detail", [
+        ("", ""), ("Unable to allocate 8.00 EiB", ": Unable to allocate 8.00 EiB"),
+    ])
+    def test_trial_out_of_memory(self, message, detail, monkeypatch, tmp_path, capsys):
+        # A tape growth that raises MemoryError, as numpy's failed allocation
+        # does, ends the run with one error line, not a traceback.
+        def cover(tape, e, end):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(_BitTape, "_cover", cover)
+        out = tmp_path / "res.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_main(["run", "--algo", "uniform-fb", "--instance", str(self.planted_n10(tmp_path)),
+                      "--epsilon", "1", "--budget", "450", "--mc-replays", "5",
+                      "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("noisycc: error:")]
+        assert errors == [f"noisycc: error: trial 0 (uniform-fb): out of memory{detail}"]
         assert not out.exists()
 
     def test_default_solver_does_not_gate_solver_free_algos(self, tmp_path):

@@ -6,7 +6,7 @@ set-partition enumeration to a subset DP, and the two at 500 replays before
 replayed pivot phases were memoised, and the two Gaussian bandit cases
 (``*-gauss-n6``, the only ones that run the threshold bandit on a float
 tape) before the bandit read its running means from the tape's table, and
-the two at n = 70 (``*-n70``, m = 2,415, a tape too large for the table, so
+the two Bernoulli ones at n = 70 (m = 2,415, a tape too large for the table, so
 every running mean is folded from the tape's individual rewards) before
 those rewards were read as float64 arrays in place of lists of floats, and
 ``kcfc-n64`` (planted n = 64, m = 2,016, the largest tape that keeps the
@@ -17,7 +17,10 @@ rewards were drawn pair by pair in place of blocks of pairs, and
 ``kcfb-pieces-u8`` (similarities within 0.001 of 0.5, so that its votes
 depend on the rewards, read from tapes of more than 65,536 rewards, which
 grow in pieces and are counted unpacked) before a tape's growth was joined
-to it in one concatenate;
+to it in one concatenate, and ``kcfc-seq-gauss-n70`` (the n = 70 instance on
+Gaussian rewards: the one command line on which a float tape keeps no table,
+so every running mean is folded from float rewards) before one tape class
+with a branch per reward kind was split into a bit tape and a float tape;
 any change to RNG consumption,
 pivot order, query order, the exact optimum's tie-break or number formatting
 shows up here.
@@ -91,6 +94,9 @@ CASES = {
     "kcfc-gauss-n64": ("n64", ["--algo", "kcfc", *FC, *GAUSS, "--trials", "2",
                                "--mc-replays", "10", "--seed", "18",
                                "--solver", "kwik_restarts"]),
+    "kcfc-seq-gauss-n70": ("n70", ["--algo", "kcfc-seq", *FC, *GAUSS, "--trials", "2",
+                                   "--mc-replays", "10", "--seed", "20",
+                                   "--solver", "kwik_restarts"]),
     "kcfb-pieces-u8": ("u8", ["--algo", "kcfb", "--epsilon", "1.0", "--budget", "5600000",
                               "--trials", "3", "--mc-replays", "20", "--seed", "19"]),
 }
@@ -108,6 +114,7 @@ EXPECTED_SHA256 = {
     "kcfc-n6": "b4e821c9d90e61ea5fdf194b83bbac1214e261a059e63cfed627ae95616f5554",
     "kcfc-seq-n15": "2e3938e90878f8db89348e81d3bd94992849c9d5def98c93d4a3aea9ba7986af",
     "kcfc-seq-n10-r500": "26a5a8db61273b3a8a94612138790dab0876ae025e2efc39e999c2b4d490b4b3",
+    "kcfc-seq-gauss-n70": "1d6adf033f1de047b0e6de60424a56832c8d7bbdeac0b9d9c95c6b560175b78f",
     "kcfc-seq-gauss-n6": "72ae0fc5c6c3f51d0be18dd486a1c40f8e49f707ba300c14c26985a0e08acfe0",
     "kcfc-seq-n70": "109e497df4edf8b11ae02fd4ef8863200579385db016713584e27965b9a3ce90",
     "kcfc-seq-n6": "b6d48e3b69444dac5ed6290dcc95aed1bef251dd3e4b154d451c00eccde1b7f3",

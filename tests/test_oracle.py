@@ -764,8 +764,16 @@ class TestRunningMeans:
         m = inst.m
         assert base._tape._means is tape._means
         for pair in range(m):
-            column = list(tape._means[pair::m])
+            column = list(tape.table()[pair::m])
             assert bits(column) == bits(scalar_fold(tape.rewards(pair, 0, 512).tolist()))
+
+    @pytest.mark.parametrize("noise", NOISES)
+    def test_run_of_none_draws_nothing(self, noise):
+        # On a tape that keeps a table, a run of none builds no table.
+        o = Oracle(Instance(5, STREAM_SIMS), noise, seed=5)
+        assert list(o.running_means(3, 0, 0.0, 0)) == []
+        assert o.total_pulls == 0
+        assert o._tape._means is None and not o._tape._streams
 
     @pytest.mark.parametrize("noise", NOISES)
     def test_arm_entering_at_a_non_zero_count(self, noise):
@@ -1036,7 +1044,7 @@ class TestStreamPositions:
             else:
                 o = o.replay()
         tape = o._tape
-        assert not tape._rngs
+        assert not hasattr(tape, "_rngs")
         for e, buf in tape._streams.items():
             on_tape = tape.rewards(e, 0, 8 * len(buf))
             assert np.array_equal(on_tape, expected(e, 0, 8 * len(buf)))
@@ -1101,5 +1109,5 @@ class TestTapeMemory:
         o.replay().pull_many(1, 300)
         tape = o._tape
         assert len(tape._streams) == len(STREAM_SIMS)
-        kept = [type(rng) for rng in tape._rngs.values()]
+        kept = [type(rng) for rng in getattr(tape, "_rngs", {}).values()]
         assert kept == ([] if noise is None else [np.random.Generator] * len(STREAM_SIMS))
