@@ -14,11 +14,11 @@ identical reward sequence per pair while keeping its own counters, so
 conditional expectations over the algorithm's internal randomness can be
 estimated with the noise realization held fixed.
 
-Rewards are read five ways: ``first_means`` pulls each of a bandit's arms
-once; ``running_means`` lists a pair's running means over its next rewards
-and ``advance`` counts them as pulled (the threshold bandit); ``pull_means``
-reads the mean of k pulls of each arm of a phase (the uniform baselines, and
-the bandit's first pulls where ``first_means`` cannot serve them);
+Rewards are read five ways: ``pull_each`` pulls each of a bandit's arms
+once, from the table's row 0 where it can, else as a phase read of one pull;
+``running_means`` lists a pair's running means over its next rewards and
+``advance`` counts them as pulled (the threshold bandit); ``pull_means``
+reads the mean of k pulls of each arm of a phase (the uniform baselines);
 ``pull_above`` reads whether each such mean exceeds 0.5 (``kcfb``); and
 ``pull`` and ``pull_many`` return the rewards themselves, read by the tape's
 ``rewards`` as is the bandit's fold past the table.  A ``_BitTape`` keeps
@@ -49,7 +49,7 @@ from itertools import chain
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import BudgetExhaustedError, InvalidPairError, ParameterError
+from .errors import BudgetExhaustedError, InvalidPairError, NoisyccError, ParameterError
 from .instance import Instance
 
 
@@ -597,24 +597,26 @@ class Oracle:
             self._total += k
         return np.array(out, dtype=bool if above else np.float64)
 
-    def first_means(self, arms: Sequence[int]) -> list[float] | None:
-        """``pull_means(arms, 1).tolist()`` for distinct arms that have never
-        been pulled, bit for bit, with the same counters and errors, read
-        from row 0 of the tape's table: a mean of one reward is the reward.
-        None, with nothing pulled, on a tape that keeps no table or where an
-        arm repeats or has been pulled."""
-        if self._m > _TABLE_PAIRS:
-            return None
-        self._check(arms, 1)
-        if not arms:
-            return []
+    def pull_each(self, arms: Sequence[int]) -> list[float]:
+        """One pull of each arm, in order: ``[self.pull(e) for e in arms]``,
+        bit for bit, with the same counters and the same error, raised at
+        the same arm after the same pulls.  Distinct arms that have never
+        been pulled read row 0 of the tape's table, where it keeps one: a
+        mean of one reward is the reward."""
+        try:
+            self._check(arms, 1)
+        except NoisyccError:
+            for e in arms:  # pulls the arms before the refused one, then raises
+                self._read_phase((e,), 1, above=False)
+            raise
         pairs = np.array(arms, dtype=np.intp)
-        if self._counts[pairs].any() or len(set(arms)) < len(arms):
-            return None
-        means = self._tape.table()
-        self._counts[pairs] = 1
-        self._total += len(arms)
-        return [means[e] for e in arms]
+        if len(set(arms)) == len(arms) > 0 and not self._counts[pairs].any():
+            means = self._tape.table()
+            if means is not None:
+                self._counts[pairs] = 1
+                self._total += len(arms)
+                return [means[e] for e in arms]
+        return self._read_phase(arms, 1, above=False).tolist()
 
     def running_means(self, e: int, k: int, mu: float, run: int) -> Iterable[float]:
         """Pair e's running means after each of its next ``run`` pulls,
@@ -626,8 +628,8 @@ class Oracle:
         tape's table, where it keeps one, which its replays share; the same
         floats, bit for bit.
         """
-        if not 0 <= e < self._m:
-            self._check((e,), 0)  # raises
+        if not (0 <= e < self._m and 0 <= run):
+            self._check((e,), run)  # raises
         return self._tape.running_means(e, self._counts.item(e), k, mu, run)
 
     def advance(self, e: int, k: int) -> None:

@@ -35,7 +35,7 @@ which takes an arm's first means from the tape's table where it keeps one:
 numpy folds the table one reward at a time with float64 ``-``, ``/`` and
 ``+``, the same IEEE operations as the scalar fold, which gives the rest.
 The first pulls, where every arm is unpulled, are the table's row 0
-(``Oracle.first_means``): a mean of one reward is the reward.  One differing
+(``Oracle.pull_each``): a mean of one reward is the reward.  One differing
 last bit can move an arm between the good and the bad set.
 """
 
@@ -44,7 +44,6 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import count, islice
 
@@ -195,30 +194,10 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
             " pulls, so no Bernoulli arm could be classified"
         )
 
-    # Flat per-arm state keyed by pair index, after one pull of every arm.
     # The selection keys are (-LCB, e) and (UCB, e).  A heap entry is stale
     # once its key differs from the arm's current key; a stale entry whose
-    # key still equals it selects the same arm as the live one.  The first
-    # pulls are read up to the first arm that is not a pair index, that the
-    # budget cannot cover or whose count is at the oracle's limit; pulling
-    # that arm then raises where pulling arm by arm would.  Where every arm is
-    # covered and unpulled, they are row 0 of the tape's table, if it keeps
-    # one.
-    covered = bisect_left(arm_list, oracle.instance.m)
-    if oracle.budget is not None:
-        covered = min(covered, max(oracle.budget - oracle.total_pulls, 0))
-    # No pair's count exceeds the total, so only then can one be at the limit.
-    if oracle.total_pulls >= _MAX_PULLS:
-        counts = oracle.pulls_report()[1]
-        covered = next(
-            (j for j, e in enumerate(arm_list[:covered]) if counts[e] == _MAX_PULLS), covered
-        )
-    first = oracle.first_means(arm_list) if covered == m else None
-    if first is None:
-        first = oracle.pull_means(arm_list[:covered], 1).tolist()
-        if covered < m:
-            oracle.advance(arm_list[covered], 1)
-    mean = dict(zip(arm_list, first))
+    # key still equals it selects the same arm as the live one.
+    mean = dict(zip(arm_list, oracle.pull_each(arm_list)))
     pulls = dict.fromkeys(arm_list, 1)
     radii = _radii_memo(m, delta, scale)
     rad = radius(m, 1, delta, scale)
@@ -279,6 +258,8 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
                     break
             kg += done
             kb += done
+            # No count nears 2**63 here: the run has read these rewards, and
+            # a read at count c first grows the arm's tape past c rewards.
             oracle.advance(g, done)
             oracle.advance(b, done)
             pulls[b], mean[b], neg_lcb[b], ucb[b] = kb, mb, -lb, ub

@@ -4,8 +4,9 @@ The digests were recorded before the per-algorithm pivot loops were merged
 into one engine, the n = 10 ones before the exact optimum moved from
 set-partition enumeration to a subset DP, and the two at 500 replays before
 replayed pivot phases were memoised, and the two Gaussian bandit cases
-(``*-gauss-n6``, the only ones that run the threshold bandit on a float
-tape) before the bandit read its running means from the tape's table, and
+(``*-gauss-n6``, the first that ran the threshold bandit on a float tape;
+``kcfc-gauss-n64`` and ``kcfc-seq-gauss-n70`` below do too) before the
+bandit read its running means from the tape's table, and
 the two Bernoulli ones at n = 70 (m = 2,415, a tape too large for the table, so
 every running mean is folded from the tape's individual rewards) before
 those rewards were read as float64 arrays in place of lists of floats, and

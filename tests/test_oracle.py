@@ -192,7 +192,7 @@ class TestBlockReads:
         # Neither read derives seed words, grows a tape or builds the table.
         o = Oracle(Instance(5, STREAM_SIMS), seed=5)
         assert o.pull_many(3, 0).tolist() == []
-        assert o.first_means([]) == []
+        assert o.pull_each([]) == []
         assert o.total_pulls == 0
         tape = o._tape
         assert not tape._streams and not tape._word_blocks and tape._means is None
@@ -664,7 +664,7 @@ class TestPhaseBlockDraws:
 
 
 class TestTapeTotal:
-    """``_Tape.total`` counts ones however the span sits on the packed bytes."""
+    """``_BitTape.total`` counts ones however the span sits on the packed bytes."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -814,6 +814,16 @@ class TestRunningMeans:
         with pytest.raises(InvalidPairError):
             Oracle(Instance(5, STREAM_SIMS), seed=0).running_means(10, 0, 0.0, 5)
 
+    @pytest.mark.parametrize("n", [5, 65])
+    def test_negative_run_is_rejected(self, n):
+        # As pull_many and advance reject a negative count: with no draw,
+        # and no table on the tape that keeps one (m = 10; m = 2080 keeps none).
+        o = Oracle(Instance(n, np.full(num_pairs(n), 0.5)), seed=5)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            o.running_means(0, 0, 0.0, -5)
+        tape = o._tape
+        assert o.total_pulls == 0 and not tape._streams and tape._means is None
+
     @pytest.mark.parametrize("noise", [None, NoiseModel("gaussian", sigma=0.3)])
     def test_block_drawn_table_equals_the_scalar_fold(self, noise):
         # m = 190 pairs, drawn in more than one block, every column against
@@ -892,38 +902,98 @@ class TestRunningMeans:
         assert peak < 12 * 2**20
 
 
-class TestFirstMeans:
-    """``first_means(arms)`` is ``pull_means(arms, 1).tolist()``, read from row
-    0 of the tape's table, or None with nothing pulled."""
+def each_outcome(read, inst, noise, arms, budget=None, advanced=()):
+    """``read(oracle, arms)`` on a fresh oracle whose pairs in ``advanced``
+    were first counted as pulled: the rewards' bits or the error's type and
+    message, then the counters."""
+    o = Oracle(inst, noise, seed=9, budget=budget)
+    for e, k in advanced:
+        o.advance(e, k)
+    try:
+        result = bits(read(o, arms))
+    except (BudgetExhaustedError, InvalidPairError, ParameterError) as exc:
+        result = (type(exc), str(exc))
+    return result, o.total_pulls, o.pulls_report()[1].tolist()
+
+
+def pull_each(o, arms):
+    return o.pull_each(arms)
+
+
+def pull_one_by_one(o, arms):
+    return [o.pull(e) for e in arms]
+
+
+class TestPullEach:
+    """``pull_each(arms)`` is ``[pull(e) for e in arms]``: the same floats,
+    counters and errors, read from row 0 of the tape's table where it can."""
 
     @pytest.mark.parametrize("noise", NOISES)
-    def test_equals_one_pull_of_each_arm(self, noise):
-        inst = Instance(5, STREAM_SIMS)
-        a, b = Oracle(inst, noise, seed=9), Oracle(inst, noise, seed=9)
+    @pytest.mark.parametrize("n", [5, 65])
+    def test_equals_one_pull_of_each_arm(self, noise, n):
+        # m = 10 keeps the table; m = 2080 does not, and draws only the arms.
+        inst = Instance(n, np.random.default_rng(n).random(num_pairs(n)))
         arms = [7, 0, 3, 9]
-        assert bits(a.first_means(arms)) == bits(b.pull_means(arms, 1).tolist())
-        assert a.total_pulls == b.total_pulls == 4
-        assert a.pulls_report()[1].tolist() == b.pulls_report()[1].tolist()
+        got = each_outcome(pull_each, inst, noise, arms)
+        assert got == each_outcome(pull_one_by_one, inst, noise, arms)
+        assert got[1] == 4 and isinstance(got[0], list)
+        o = Oracle(inst, noise, seed=9)
+        o.pull_each(arms)
+        assert (o._tape._means is not None) == (n == 5)
+        assert len(o._tape._streams) == (inst.m if n == 5 else 4)
 
-    @pytest.mark.parametrize("arms", [[0, 1, 1], [2, 4]])
-    def test_none_for_a_repeated_or_pulled_arm(self, arms):
+    @pytest.mark.parametrize("noise", NOISES)
+    @pytest.mark.parametrize("arms", [[0, 1, 1, 0], [2, 4, 4], [4]])
+    def test_repeated_and_pulled_arms(self, noise, arms):
+        # Pair 4 was pulled 3 times before: its reward 3 is read.
+        inst = Instance(5, STREAM_SIMS)
+        got = each_outcome(pull_each, inst, noise, arms, advanced=[(4, 3)])
+        assert got == each_outcome(pull_one_by_one, inst, noise, arms, advanced=[(4, 3)])
+        assert got[1] == 3 + len(arms)
+
+    @pytest.mark.parametrize("noise", NOISES)
+    @pytest.mark.parametrize("arms,budget", [
+        ([0, 1, 2], 2),  # the budget runs out at arm 2
+        ([0, 1, 2], 0),
+        ([5, 0, 10, 1], None),  # pair 10 is out of range (m = 10)
+        ([3, -1], None),
+        ([4, 4, 4], 2),
+    ])
+    def test_errors_at_the_same_arm(self, noise, arms, budget):
+        inst = Instance(5, STREAM_SIMS)
+        got = each_outcome(pull_each, inst, noise, arms, budget)
+        assert got == each_outcome(pull_one_by_one, inst, noise, arms, budget)
+        assert isinstance(got[0], tuple)
+
+    @pytest.mark.parametrize("limit_arm", [0, 1, 2])
+    def test_no_reward_read_at_the_count_limit(self, limit_arm):
+        # The arms before the one at the limit are pulled, and that one is
+        # refused before its tape is drawn.
+        inst = Instance(3, [0.9, 0.1, 0.8])
+        advanced = [(limit_arm, 2**63 - 1)]
+        with deadline(2):
+            got = each_outcome(pull_each, inst, None, [0, 1, 2], advanced=advanced)
+        assert got == each_outcome(pull_one_by_one, inst, None, [0, 1, 2], advanced=advanced)
+        assert got[0][0] is ParameterError and got[2][limit_arm] == 2**63 - 1
+        o = Oracle(inst, seed=9)
+        o.advance(limit_arm, 2**63 - 1)
+        with pytest.raises(ParameterError, match=f"1 more pulls of pair {limit_arm}"):
+            o.pull_each([0, 1, 2])
+        assert set(o._tape._streams) == set(range(limit_arm))
+
+    def test_no_arms_draw_nothing(self):
         o = Oracle(Instance(5, STREAM_SIMS), seed=9)
-        o.advance(4, 1)
-        assert o.first_means(arms) is None
-        assert o.total_pulls == 1 and o._tape._means is None
+        assert o.pull_each([]) == []
+        tape = o._tape
+        assert o.total_pulls == 0 and not tape._streams and tape._means is None
 
-    def test_none_on_a_tape_without_table(self):
-        o = Oracle(Instance(65, np.full(num_pairs(65), 0.5)), seed=9)
-        assert o.first_means([0, 1]) is None
-        assert o.total_pulls == 0 and not o._tape._streams
-
-    def test_errors_before_any_draw(self):
-        o = Oracle(Instance(5, STREAM_SIMS), seed=9, budget=2)
-        with pytest.raises(BudgetExhaustedError):
-            o.first_means([0, 1, 2])
-        with pytest.raises(InvalidPairError):
-            o.first_means([0, 10])
-        assert o.total_pulls == 0 and not o._tape._streams
+    def test_table_draw_error_pulls_nothing(self):
+        # The table draws every pair's first 512 rewards, so a non-finite
+        # Gaussian reward of pair 9 raises there, before any arm is counted.
+        o = Oracle(Instance(5, STREAM_SIMS), NoiseModel("gaussian", sigma=5e307), seed=0)
+        with pytest.raises(ParameterError, match="non-finite reward for pair 9"):
+            o.pull_each([0, 1])
+        assert o.total_pulls == 0 and o._tape._means is None
 
 
 class TestPullCountLimit:
@@ -1028,9 +1098,11 @@ class TestStreamPositions:
                 else:
                     assert o.pull_above(arg, k).tolist() == [mu > 0.5 for mu in means]
             elif read == "first":
-                fresh = len(set(arg)) == len(arg) and not any(counts[e] for e in arg)
-                firsts = [expected(e, 0, 1)[0] for e in arg] if fresh else None
-                assert o.first_means(arg) == firsts
+                firsts = []
+                for e in arg:
+                    firsts.append(expected(e, counts[e], 1)[0])
+                    counts[e] += 1
+                assert o.pull_each(arg) == firsts
             elif read == "running":
                 # The fold from reward 0 where the table holds it, else from
                 # the arm's count on, as for an arm a bandit enters late.
