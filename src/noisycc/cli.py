@@ -9,6 +9,7 @@ therefore opt-in (``--timing``); without it the wall_ms column stays empty.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -219,6 +220,8 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--mc-replays must be >= 1")
     if args.workers < 1:
         parser.error("--workers must be >= 1")
+    if args.restarts < 1:
+        parser.error("--restarts must be >= 1")
     if args.seed < 0:
         parser.error("--seed must be >= 0")
     algo = args.algo
@@ -358,8 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``main``'s parser, built once per process (a build takes about 0.7 ms)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "gen":
         return cmd_gen(args, parser)

@@ -4,7 +4,8 @@ import pytest
 from deadline import deadline
 
 from noisycc import Instance, load_instance, save_instance
-from noisycc.cli import CSV_COLUMNS, main
+from noisycc import cli
+from noisycc.cli import CSV_COLUMNS, build_parser, main
 from noisycc.oracle import _BitTape
 
 THREE_ARM = Instance(3, [0.9, 0.1, 0.55])
@@ -166,6 +167,24 @@ class TestRun:
         assert float(rows[0]["wall_ms"]) > 0.0
 
 
+class TestParser:
+    def test_main_reuses_one_parser(self, noiseless_instance, tmp_path, capsys):
+        argv = ["run", "--algo", "kcfb", "--instance", str(noiseless_instance),
+                "--epsilon", "1.0", "--budget", "300", "--mc-replays", "10"]
+        # Options parsed before the bad flag must not carry over to the next call.
+        with pytest.raises(SystemExit) as exc:
+            run_main([*argv, "--seed", "5", "--trials", "2", "--no-such-flag"])
+        assert exc.value.code == 2
+        reused, fresh = tmp_path / "reused.csv", tmp_path / "fresh.csv"
+        assert run_main([*argv, "--out", str(reused)]) == 0
+        cli._parser.cache_clear()
+        assert run_main([*argv, "--out", str(fresh)]) == 0
+        assert reused.read_bytes() == fresh.read_bytes()
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+
 class TestBadRunInputs:
     @staticmethod
     def usage_error(argv, capsys):
@@ -183,6 +202,20 @@ class TestBadRunInputs:
              "--epsilon", "0.5", "--budget", "60", "--solver", "kwik_restarts",
              "--restarts", "0"], capsys)
         assert line.startswith("noisycc: error:") and "restarts" in line
+
+    @pytest.mark.parametrize("algo,restarts", [
+        (["uniform-fb", "--budget", "60"], "-1"),
+        (["kcfb", "--budget", "60"], "0"),
+    ])
+    def test_restarts_below_one_whatever_the_solver(
+        self, algo, restarts, noiseless_instance, tmp_path, capsys
+    ):
+        out = tmp_path / "res.csv"
+        line = self.usage_error(
+            ["run", "--algo", *algo, "--instance", str(noiseless_instance),
+             "--epsilon", "0.5", f"--restarts={restarts}", "--out", str(out)], capsys)
+        assert line == "noisycc: error: --restarts must be >= 1"
+        assert not out.exists()
 
     def test_gaussian_sigma_zero(self, noiseless_instance, capsys):
         line = self.usage_error(

@@ -21,7 +21,10 @@ grow in pieces and are counted unpacked) before a tape's growth was joined
 to it in one concatenate, and ``kcfc-seq-gauss-n70`` (the n = 70 instance on
 Gaussian rewards: the one command line on which a float tape keeps no table,
 so every running mean is folded from float rewards) before one tape class
-with a branch per reward kind was split into a bit tape and a float tape;
+with a branch per reward kind was split into a bit tape and a float tape,
+and ``uniform-fb-exact-n13`` and ``kcfb-n13`` (the first whose exact
+optimum splits the DP's top bits) before the DP's min-plus convolutions
+became gathers through cached split indices;
 any change to RNG consumption,
 pivot order, query order, the exact optimum's tie-break or number formatting
 shows up here.
@@ -48,6 +51,11 @@ INSTANCES = {
             "--in-mean", "0.8", "--out-mean", "0.2", "--seed", "16"],
     "u8": ["--kind", "uniform_random", "--n", "8", "--lo", "0.499", "--hi", "0.501",
            "--seed", "21"],
+    # The largest instance exact OPT solves: its widest min-plus convolutions
+    # split their top bits before the gathers.  At two pulls per pair
+    # uniform-fb's estimates lie in {0, 0.5, 1}, and its exact solve walks ties.
+    "n13": ["--kind", "planted", "--n", "13", "--k", "3", "--q", "0.1",
+            "--in-mean", "0.9", "--out-mean", "0.1", "--seed", "5"],
 }
 
 FC = ["--epsilon", "1.0", "--delta", "0.1"]
@@ -100,6 +108,11 @@ CASES = {
                                    "--solver", "kwik_restarts"]),
     "kcfb-pieces-u8": ("u8", ["--algo", "kcfb", "--epsilon", "1.0", "--budget", "5600000",
                               "--trials", "3", "--mc-replays", "20", "--seed", "19"]),
+    "uniform-fb-exact-n13": ("n13", ["--algo", "uniform-fb", "--epsilon", "1.0",
+                                     "--budget", "156", "--trials", "3", "--mc-replays", "20",
+                                     "--seed", "21", "--solver", "exact"]),
+    "kcfb-n13": ("n13", ["--algo", "kcfb", "--epsilon", "1.0", "--budget", "7800",
+                         "--trials", "3", "--mc-replays", "20", "--seed", "22"]),
 }
 
 EXPECTED_SHA256 = {
@@ -108,6 +121,7 @@ EXPECTED_SHA256 = {
     "kcfb-n15": "00b206419a011ba01323359610c420d0c4e4a66e581fa35750819119400d4e8a",
     "kcfb-pieces-u8": "82f160b32c934d0d24737282dee4c7cf7f3258a4ce1e4646e141bc8e700953d9",
     "kcfb-n6": "54123592fdb3669f7724243cb3009118c0f8ef268dbf2c5612a696da84b197a2",
+    "kcfb-n13": "e67d4e55cade7b17b23f4aaf8e9775b171f5ff6b9c673e98f734aa35b7ac8461",
     "kcfc-gauss-n64": "281e38a7e0053cb41b0eec1c541f0fb78debc5c97d628335d77c40b7795e6c77",
     "kcfc-gauss-n6": "0f3cc7ff236f404ebb257ae8cde04ff81ea8394c2f618d3d7105bb9540fc9ac0",
     "kcfc-n70": "1c7ae3d83b767354f3395c5c50d3d947708e9786f19946441c4cf53384970e81",
@@ -120,6 +134,7 @@ EXPECTED_SHA256 = {
     "kcfc-seq-n70": "109e497df4edf8b11ae02fd4ef8863200579385db016713584e27965b9a3ce90",
     "kcfc-seq-n6": "b6d48e3b69444dac5ed6290dcc95aed1bef251dd3e4b154d451c00eccde1b7f3",
     "uniform-fb-exact-n10": "793bcb5ea2100dfc9beec30105ad44752c3949e3afd399c510f117844574dcf7",
+    "uniform-fb-exact-n13": "8a7c011c020be2700fca199b94f6f4167796b9110a15f30eae07419285d88109",
     "uniform-fb-n6": "09ca06130abb47343e08d6968f87973c82252b980a128721568174cc162182fe",
     "uniform-fc-n6": "75cec1d326784ffac32ce6c5b731e18c3296910f67e4e45ab0c045bce211953e",
 }

@@ -438,6 +438,40 @@ class TestSubsetConvolution:
         want = [min(a[t] + b[r ^ t] for t in range(1 << d) if t & r == t) for r in range(1 << d)]
         assert _subset_min_plus(a, b).tolist() == want
 
+    # At n = 11 to 13 the widest convolutions split their top bits before
+    # the gathers.
+    @pytest.mark.parametrize("grid", [None, [0.0, 0.25, 0.5, 0.75, 1.0],
+                                      [0.1, 0.3, 0.5, 0.7, 0.9]])
+    @pytest.mark.parametrize("n", [11, 12, 13])
+    def test_split_layers(self, n, grid):
+        rng = np.random.default_rng(n)
+        sims = rng.random(num_pairs(n)) if grid is None else rng.choice(grid, num_pairs(n))
+        self.assert_same_as_loop(sims, n)
+
+    @pytest.mark.parametrize("bits", [0, 1, 2])
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(0, 6), data=st.data())
+    def test_split_depths_equal_brute_force(self, bits, d, data):
+        values = st.lists(st.floats(-1e6, 1e6), min_size=1 << d, max_size=1 << d)
+        a = np.array(data.draw(values))
+        b = np.array(data.draw(values))
+        want = [min(a[t] + b[r ^ t] for t in range(1 << d) if t & r == t) for r in range(1 << d)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(offline, "_GATHER_BITS", bits)
+            assert _subset_min_plus(a, b).tolist() == want
+
+    def test_n13_memory(self):
+        inst = generate(GeneratorSpec("planted", n=13, k=3, flip_noise=0.1,
+                                      in_mean=0.9, out_mean=0.1, seed=2))
+        tracemalloc.start()
+        try:
+            min_cost_partition(inst.sims, 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert offline._splits.cache_info().currsize <= offline._GATHER_BITS + 1
+
 
 class TestFiveApproximation:
     def test_mc_expected_cost_within_factor_five(self):
