@@ -303,6 +303,10 @@ def cmd_analyze(args, parser: argparse.ArgumentParser) -> int:
         parser.error(f"cannot load instance: {exc}")
     if not 0 < args.epsilon < math.inf:
         parser.error("--epsilon must be positive and finite")
+    if not 0 < args.delta < 1:
+        parser.error(f"delta must lie in (0, 1), got {args.delta}")
+    if args.budget < 0:
+        parser.error(f"budget must be >= 0, got {args.budget}")
     try:
         out = _analysis_lines(instance, args.epsilon, args.delta, args.budget)
     except NoisyccError as exc:

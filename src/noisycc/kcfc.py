@@ -13,6 +13,7 @@ early clusters are never queried at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +41,13 @@ class FcReport:
     estimates: np.ndarray | None = None
 
 
-def _validate(epsilon: float, delta: float) -> None:
+def _validate(epsilon: float, delta: float, radius_scale: float = 1.0) -> None:
     if not epsilon > 0:
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
     if not (0.0 < delta < 1.0):
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")
+    if not (0.0 < radius_scale < math.inf):
+        raise ParameterError(f"radius_scale must be positive and finite, got {radius_scale}")
 
 
 def run_kcfc(
@@ -55,7 +58,7 @@ def run_kcfc(
     radius_scale: float = 1.0,
 ) -> FcReport:
     """Classify every pair once, then pivot-cluster on the good set."""
-    _validate(epsilon, delta)
+    _validate(epsilon, delta, radius_scale)
     n = oracle.instance.n
     if n == 1:
         return FcReport(np.zeros(1, dtype=np.int64), 0, epsilon, delta, None, 0, np.zeros(0))
@@ -83,7 +86,7 @@ def run_kcfc_sequential(
     one oracle tape: a phase's bandit reads each of its arms from count 0, so
     its good set depends only on the survivors and the pivot.
     """
-    _validate(epsilon, delta)
+    _validate(epsilon, delta, radius_scale)
     n = oracle.instance.n
     too_small = f"delta={delta} is too small for n={n}: the bandit runs at delta / n"
     if not delta / n > 0:

@@ -22,9 +22,9 @@ reads the mean of k pulls of each arm of a phase (the uniform baselines);
 ``pull_above`` reads whether each such mean exceeds 0.5 (``kcfb``); and
 ``pull`` and ``pull_many`` return the rewards themselves, read by the tape's
 ``rewards`` as is the bandit's fold past the table.  A ``_BitTape`` keeps
-the count of ones of each pair that ``pull_above`` reads, which bounds the
-ones among its first k rewards, so ``pull_above`` decides most tests from it
-and draws new rewards only until the answer is settled.
+the count of ones of every pair it has drawn, which bounds the ones among
+its first k rewards, so ``pull_above`` decides most tests from it and draws
+new rewards only until the answer is settled.
 
 ``_BitTape.draw_first`` is the tape's one block draw: it draws the first
 rewards of the pairs that have no tape yet, each pair's stream into one row
@@ -275,7 +275,7 @@ class _Tape:
         ``_COLUMNS`` rewards, which ``draw_first`` draws where a pair has no
         tape yet and ``_columns`` reads, ``_TABLE_BLOCK`` pairs at a time."""
         m = len(self.sims)
-        self.draw_first(range(m), _COLUMNS, count=False)
+        self.draw_first(range(m), _COLUMNS)
         table = np.empty((_COLUMNS, m))
         for lo in range(0, m, _TABLE_BLOCK):
             hi = min(lo + _TABLE_BLOCK, m)
@@ -303,8 +303,8 @@ class _Tape:
 class _BitTape(_Tape):
     """Bernoulli rewards, eight to a byte (``np.packbits``, the first reward
     in the high bit of byte 0), growing by whole bytes; a sum counts the set
-    bits of the covering bytes.  Once ``above`` has read a pair, ``_ones``
-    keeps its count of ones, adding each growth's, counted from its compare.
+    bits of the covering bytes.  ``_ones`` holds the count of ones of exactly
+    the pairs that have a tape, each draw adding the ones of its compare.
     The tape keeps no generator, which would cost about 780 bytes a pair: a
     reward is one ``random`` draw, one 64-bit PCG64 output, so a growth
     builds the pair's generator anew and jumps it past the tape's h rewards
@@ -329,14 +329,13 @@ class _BitTape(_Tape):
         # Byte b of a pair unpacks, along axis 0, to rows 8b to 8b + 7.
         return np.unpackbits(tapes, axis=0)
 
-    def draw_first(self, arms: Iterable[int], k: int, count: bool) -> None:
+    def draw_first(self, arms: Iterable[int], k: int) -> None:
         """Before a read of k pulls of each of ``arms``, draw the first
         ``max(_FIRST_DRAW, k)`` rewards (whole bytes) of each arm that has
         no tape yet, in blocks of at most ``_PHASE_FLOATS`` rewards: each
         arm's stream into one row of a float block, compared and turned to
-        bits once per block, and each row's ones counted from the compare;
-        with ``count`` (``above`` reads the arms) the tape keeps them.  A
-        read of more than ``_ROW_CAP`` pulls draws each arm as it is read."""
+        bits once per block, and each row's ones counted from the compare.
+        A read of more than ``_ROW_CAP`` pulls draws each arm as it is read."""
         if k > _ROW_CAP:
             return
         streams = self._streams
@@ -357,8 +356,7 @@ class _BitTape(_Tape):
             # rows as views kept each block alive until its last pair grew,
             # about 0.17 MB per n = 120 kcfb trial.
             streams.update(zip(pairs, [row.copy() for row in np.packbits(hits, axis=1)]))
-            if count:
-                self._ones.update(zip(pairs, hits.sum(axis=1).tolist()))
+            self._ones.update(zip(pairs, hits.sum(axis=1).tolist()))
 
     def total(self, e: int, i: int, k: int) -> int:
         """The number of ones among rewards i, ..., i + k - 1 of pair e, k >= 1."""
@@ -381,13 +379,10 @@ class _BitTape(_Tape):
         standard deviations of the ones count, and on by doubling."""
         if i or k >= _EXACT_K:
             return self.total(e, i, k) / k > 0.5
-        if e not in self._ones:  # _cover keeps the count from now on
-            buf = self._streams.get(e)
-            self._ones[e] = 0 if buf is None else _ones_in(buf)
         while True:
             buf = self._streams.get(e)
             h = 0 if buf is None else len(buf) << 3
-            o = self._ones[e]
+            o = self._ones[e] if h else 0  # a pair with no tape has no ones
             # The first k rewards hold at least o - max(h - k, 0) ones and at
             # most o + max(k - h, 0); two calls of ``max`` here made n = 120
             # kcfb jobs about 3 % slower.
@@ -413,13 +408,12 @@ class _BitTape(_Tape):
         rng = self._generator(e)
         if have:
             rng.bit_generator.advance(have)
-        ones = 0
+        ones = self._ones[e] if have else 0
         for j in range(0, grow, _PIECE):
             hits = rng.random(min(_PIECE, grow - j)) < s
             parts.append(np.packbits(hits))
             ones += int(np.count_nonzero(hits))
-        if e in self._ones:
-            self._ones[e] += ones
+        self._ones[e] = ones
         # A first growth of one part is stored as drawn: copying it made such
         # a growth about 10 % slower.
         buf = parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -446,7 +440,7 @@ class _FloatTape(_Tape):
         """The first ``_COLUMNS`` rewards of pairs lo to hi - 1, a column each."""
         return np.array([self._cover(e, _COLUMNS)[:_COLUMNS] for e in range(lo, hi)]).T
 
-    def draw_first(self, arms: Iterable[int], k: int, count: bool) -> None:
+    def draw_first(self, arms: Iterable[int], k: int) -> None:
         """Nothing: a float tape draws each arm as it is read."""
 
     def total(self, e: int, i: int, k: int) -> float:
@@ -586,7 +580,7 @@ class Oracle:
         arms = arms.tolist() if isinstance(arms, np.ndarray) else list(arms)
         self._check(arms, k, least=1)
         tape = self._tape
-        tape.draw_first(arms, k, count=above)
+        tape.draw_first(arms, k)
         read = tape.above if above else tape.total
         counts = self._counts
         out = []

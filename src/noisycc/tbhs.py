@@ -41,6 +41,7 @@ last bit can move an arm between the good and the bad set.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from array import array
@@ -53,12 +54,11 @@ from .oracle import _MAX_PULLS, Oracle
 
 # Radii memo, keyed by (m, delta, scale): each table holds radius() for pull
 # counts up to _MEMO_COUNTS, and larger counts call radius() directly.  At
-# most _MEMO_KEYS tables are kept, the oldest dropped first, so an arm that
-# needs 10^8 pulls does not grow the memo.  The tables hold values of a pure
-# function, so sharing them between calls cannot change any result.
+# most _MEMO_KEYS tables are kept, the least recently used dropped first, so
+# an arm that needs 10^8 pulls does not grow the memo.  The tables hold values
+# of a pure function, so sharing them between calls cannot change any result.
 _MEMO_COUNTS = 4096
 _MEMO_KEYS = 32
-_radii: dict[tuple[int, float, float], array] = {}
 
 # At most this many rounds' running means are read from the oracle at once;
 # a longer run goes on in the next block.
@@ -118,17 +118,11 @@ def _unclassifiable(m: int, config: TbhsConfig) -> bool:
     return log_arg / (2.0 * k) > reach * reach
 
 
+@functools.lru_cache(maxsize=_MEMO_KEYS)
 def _radii_memo(m: int, delta: float, scale: float) -> array:
     """The memo's table for (m, delta, scale), ``[nan, radius(m, 1, ...),
-    radius(m, 2, ...), ...]``, filled as far as ``_radius_span`` has needed;
-    a new table drops the oldest one past ``_MEMO_KEYS``."""
-    key = (m, delta, scale)
-    table = _radii.get(key)
-    if table is None:
-        if len(_radii) >= _MEMO_KEYS:
-            del _radii[next(iter(_radii))]
-        table = _radii[key] = array("d", [math.nan])
-    return table
+    radius(m, 2, ...), ...]``, filled as far as ``_radius_span`` has needed."""
+    return array("d", [math.nan])
 
 
 def _radius_span(table: array, m: int, delta: float, scale: float, k: int, run: int) -> array:

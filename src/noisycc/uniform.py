@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InstanceTooLargeError, InsufficientBudgetError, ParameterError
 from .instance import num_pairs
 from .kcfb import FbReport
-from .kcfc import FcReport
+from .kcfc import FcReport, _validate
 from .offline import EXACT_MAX_N, kwikcluster, min_cost_partition, pairwise_cost
 from .oracle import Oracle
 
@@ -92,6 +92,7 @@ def run_uniform_fc(
     rng: np.random.Generator | None = None,
 ) -> FcReport:
     """The fixed-budget baseline at the budget of ``uniform_fc_pulls`` per pair."""
+    _validate(epsilon, delta)
     m = oracle.instance.m
     per_pair = uniform_fc_pulls(solver.alpha, m, epsilon, delta) if m else 0
     report = run_uniform_fb(oracle, m * per_pair, solver, rng)

@@ -490,6 +490,33 @@ class TestBadRunInputs:
                         " is too small: the pull count is not finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize("delta", ["nan", "0", "2"])
+    def test_uniform_fc_delta_checked_without_pairs(self, delta, tmp_path, capsys):
+        # n = 1 needs no pull, yet delta is still written to the CSV.
+        path = tmp_path / "one.json"
+        save_instance(Instance(1, []), path)
+        out = tmp_path / "res.csv"
+        line = self.usage_error(
+            ["run", "--algo", "uniform-fc", "--instance", str(path), "--epsilon", "1.0",
+             "--delta", delta, "--mc-replays", "5", "--out", str(out)], capsys)
+        assert line == (f"noisycc: error: trial 0 (uniform-fc): delta must lie in (0, 1),"
+                        f" got {float(delta)}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("algo", ["kcfc", "kcfc-seq"])
+    def test_radius_scale_checked_without_pairs(self, algo, scale, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        save_instance(Instance(1, []), path)
+        out = tmp_path / "res.csv"
+        line = self.usage_error(
+            ["run", "--algo", algo, "--instance", str(path), "--epsilon", "1.0",
+             "--delta", "0.1", "--radius-scale", scale, "--mc-replays", "5",
+             "--out", str(out)], capsys)
+        assert line == (f"noisycc: error: trial 0 ({algo}): radius_scale must be positive"
+                        f" and finite, got {float(scale)}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         ["gen", "--kind", "planted", "--n", "6", "--k", "2"],
         ["run", "--algo", "kcfb", "--epsilon", "1.0", "--budget", "60", "--mc-replays", "5"],
@@ -626,6 +653,25 @@ class TestAnalyze:
         assert "Traceback" not in captured.err
         line = captured.err.strip().splitlines()[-1]
         assert line.startswith("noisycc: error:") and word in line
+
+    @pytest.mark.parametrize("instance,flags,message", [
+        (Instance(1, []), ["--delta", "2"], "delta must lie in (0, 1), got 2.0"),
+        (Instance(1, []), ["--delta", "0"], "delta must lie in (0, 1), got 0.0"),
+        (Instance(1, []), ["--delta", "nan"], "delta must lie in (0, 1), got nan"),
+        (Instance(1, []), ["--budget", "-5"], "budget must be >= 0, got -5"),
+        # Neither epsilon nor epsilon / (12 m) lies in (0, 0.5): no line reads delta.
+        (Instance(6, [0.9] * 15), ["--epsilon", "100", "--delta", "nan"],
+         "delta must lie in (0, 1), got nan"),
+    ])
+    def test_bad_flag_whatever_the_lines_need(self, instance, flags, message, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        save_instance(instance, path)
+        with pytest.raises(SystemExit) as exc:
+            run_main(["analyze", "--instance", str(path), *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines()[-1] == f"noisycc: error: {message}"
 
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1", "0"])
     def test_bad_epsilon_usage_error(self, epsilon, tmp_path, capsys):

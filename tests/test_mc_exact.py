@@ -9,7 +9,8 @@ tape.  Each pivot is uniform among the survivors, so the expectation is
 
 where C_p is p's cluster and a phase costs ``1 - s`` for each pair within
 C_p and ``s`` for each pair from C_p to the rest of S.  ``exact_cost``
-memoises f over (survivors, state), the state being ``kcfb``'s tau.
+memoises f over (survivors, state), the state being ``kcfb``'s tau, and
+raises once the memo passes 10,000 entries, so that no case runs unbounded.
 """
 
 import csv
@@ -22,7 +23,15 @@ from test_golden import CASES, INSTANCES
 
 from noisycc import offline
 from noisycc.cli import _trial_streams, build_parser, main
-from noisycc.instance import Instance, incident_pairs, load_instance, num_pairs, pair_endpoints
+from noisycc.instance import (
+    GeneratorSpec,
+    Instance,
+    generate,
+    incident_pairs,
+    load_instance,
+    num_pairs,
+    pair_endpoints,
+)
 from noisycc.kcfb import next_tau
 from noisycc.kcfc import run_kcfc
 from noisycc.oracle import NoiseModel, Oracle
@@ -44,6 +53,8 @@ def exact_cost(instance, phase, state):
             return 0.0
         key = (survivors, state)
         if key not in memo:
+            if len(memo) >= 10_000:
+                raise RuntimeError(f"exact_cost's memo passed 10,000 entries at n={n}")
             total = 0.0
             for i, p in enumerate(survivors):
                 others = survivors[:i] + survivors[i + 1 :]
@@ -91,6 +102,8 @@ def trial_phase(args, instance, noise, trial):
 
 @pytest.mark.parametrize("case", [
     "kcfc-n6", "kcfc-gauss-n6", "kcfc-seq-n6", "kcfb-n6", "kcfb-n10", "kcfb-n10-r500",
+    "kcfc-seq-gauss-n6", "kcfc-seq-n10-r500", "kcfc-seq-n15", "kcfb-n13", "kcfb-n15",
+    "kcfb-pieces-u8",
 ])
 def test_mc_estimate_within_four_stderr_of_exact(case, tmp_path):
     name, argv = CASES[case]
@@ -132,3 +145,23 @@ def test_exact_cost_equals_the_mean_over_pivot_orders(seed):
                 labels[p] = labels[joins] = p
         costs.append(offline.cost(instance, labels))
     assert math.isclose(exact, math.fsum(costs) / len(costs), rel_tol=1e-12)
+
+
+def test_kwikcluster_on_uniform_instances_within_five_opt():
+    # The 20 uniform-random instances (n = 5 to 8) and replay streams of
+    # the acceptance test of KwikCluster's 5-approximation: its exact
+    # E[cost] is at most 5 * OPT, and 2,000 replays estimate it.
+    rng = np.random.default_rng(31337)
+    for i in range(20):
+        spec = GeneratorSpec("uniform_random", n=5 + i % 4, seed=int(rng.integers(2**32)))
+        instance = generate(spec)
+        opt = offline.brute_force_opt(instance).opt_value
+        exact, _ = exact_cost(instance, lambda arms, _: (instance.sims[arms] > 0.5, None), None)
+        assert exact <= 5 * opt, (i, exact, opt)
+        mc, stderr = offline.expected_cost_mc(
+            instance, instance.sims, 2000, np.random.default_rng(i)
+        )
+        if stderr:
+            assert abs(mc - exact) <= 4 * stderr, (i, mc, stderr, exact)
+        else:
+            assert math.isclose(mc, exact, rel_tol=1e-9), (i, mc, exact)

@@ -632,16 +632,11 @@ class TestPhaseBlockDraws:
         assert got == (means if read == "pull_means" else [mu > 0.5 for mu in means])
         assert o.pulls_report()[1].tolist() == counts and o.total_pulls == sum(counts)
         tape = o._tape
-        assert set(tape._streams) == set(arms)
-        if read == "pull_means":
-            assert not tape._ones
-        else:  # every pair read from reward 0 keeps its ones; pair 3 is not
-            assert set(arms) - {3, 7} <= set(tape._ones) <= set(arms) - {3}
+        assert set(tape._streams) == set(arms) == set(tape._ones)
         for e, buf in tape._streams.items():
             on_tape = tape.rewards(e, 0, 8 * len(buf))
             assert np.array_equal(on_tape, self.stream(o, e, 8 * len(buf))), e
-            if e in tape._ones:
-                assert tape._ones[e] == on_tape.sum(), e
+            assert tape._ones[e] == on_tape.sum(), e
         if k <= _ROW_CAP:
             # A block row holds the first max(64, k) rewards, whole bytes,
             # and no arm read once from reward 0 grows past it.
@@ -653,6 +648,7 @@ class TestPhaseBlockDraws:
         o = self.oracle(100, budget=1000)
         fresh = list(range(20, 150))
         drawn = {e: len(t) for e, t in o._tape._streams.items()}
+        ones = dict(o._tape._ones)
         with pytest.raises(InvalidPairError, match="out of range"):
             getattr(o, read)(fresh + [num_pairs(self.N)], 5)
         with pytest.raises(BudgetExhaustedError, match="7 used, 1040 requested"):
@@ -660,7 +656,7 @@ class TestPhaseBlockDraws:
         with pytest.raises(ValueError, match="k must be >= 1"):
             getattr(o, read)(fresh, 0)
         assert {e: len(t) for e, t in o._tape._streams.items()} == drawn
-        assert o.total_pulls == 7 and not o._tape._ones
+        assert o.total_pulls == 7 and o._tape._ones == ones
 
 
 class TestTapeTotal:
@@ -841,8 +837,8 @@ class TestRunningMeans:
     def test_table_over_pairs_already_drawn(self):
         # m = 190, more than one fill block, with tapes of every kind before
         # the build: pair 3 past the table, pair 131 short of it in the
-        # second block, pair 150 read by pull_above (168 rewards, ones
-        # kept), pair 7 advanced but never drawn.
+        # second block, pair 150 read by pull_above (168 rewards), pair 7
+        # advanced but never drawn.
         sims = np.random.default_rng(22).random(num_pairs(20))
         sims[150] = 0.95
         inst = Instance(20, sims)
@@ -861,7 +857,8 @@ class TestRunningMeans:
             rewards = reference_rewards(seed, e, sims[e], None, length)
             assert bits(table[e :: inst.m]) == bits(scalar_fold(rewards[:512])), e
             assert bits(tape.rewards(e, 0, length).tolist()) == bits(rewards), e
-        assert tape._ones == {150: tape.total(150, 0, 8 * len(tape._streams[150]))}
+        drawn = tape._streams.items()
+        assert tape._ones == {e: tape.total(e, 0, 8 * len(buf)) for e, buf in drawn}
 
     def test_table_build_keeps_no_draw_scratch(self):
         # m = 435 (n = 30): the table is 1.70 MiB, and the pairs' tapes and
@@ -1122,6 +1119,71 @@ class TestStreamPositions:
             assert np.array_equal(on_tape, expected(e, 0, 8 * len(buf)))
             if e in tape._ones:
                 assert tape._ones[e] == on_tape.sum()
+
+
+# Read lengths around the first draw, the table, the block rows' cap and a
+# piece of _PIECE draws, up to growths of three pieces.
+ONES_KS = st.sampled_from(
+    [1, 8, 63, 65, 512, 513, _ROW_CAP, _ROW_CAP + 1, _PIECE + 1, 2 * _PIECE + 3]
+) | st.integers(1, 3 * _PIECE)
+# Arm indices are taken modulo the instance's pair count.
+ONES_ARMS = st.lists(st.integers(0, 2**16), min_size=1, max_size=4)
+ONES_READS = st.lists(
+    st.tuples(st.sampled_from(["pull", "pull_each"]), ONES_ARMS, st.just(1))
+    | st.tuples(
+        st.sampled_from(["pull_many", "pull_means", "pull_above", "running"]), ONES_ARMS, ONES_KS
+    )
+    | st.tuples(st.just("replay"), st.just([0]), st.just(0)),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestOnesCounts:
+    """A Bernoulli tape holds a count of ones for exactly the pairs it has
+    drawn, each equal to the set bits of the pair's tape, whichever reads
+    drew them and across replays."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # n = 65 has 2,080 pairs, more than the tape keeps a table for.
+        n=st.sampled_from([5, 6, 7, 65]),
+        sims_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**64 - 1),
+        reads=ONES_READS,
+    )
+    @example(n=5, sims_seed=0, seed=0, reads=[("pull_means", [0, 1, 2], 8)])
+    @example(n=6, sims_seed=1, seed=1, reads=[
+        ("pull_many", [3], 2 * _PIECE + 3), ("running", [0], 600), ("replay", [0], 0),
+        ("pull_above", [3, 4], 3 * _PIECE), ("pull_each", [5, 6], 1),
+    ])
+    def test_every_drawn_pair_has_its_count(self, n, sims_seed, seed, reads):
+        m = num_pairs(n)
+        assert num_pairs(65) > _TABLE_PAIRS
+        sims = np.random.default_rng(sims_seed).random(m)
+        sims[::4] = 0.5
+        o = Oracle(Instance(n, sims), seed=seed)
+        for read, arms, k in reads:
+            arms = [e % m for e in arms]
+            if read == "pull":
+                o.pull(arms[0])
+            elif read == "pull_many":
+                o.pull_many(arms[0], k)
+            elif read == "pull_each":
+                o.pull_each(arms)
+            elif read == "running":
+                e = arms[0]
+                i = o.pulls_report()[1][e]
+                list(o.running_means(e, i, 0.0, k))
+                o.advance(e, k)
+            elif read == "replay":
+                o = o.replay()
+            else:
+                getattr(o, read)(arms, k)
+            tape = o._tape
+            assert set(tape._ones) == set(tape._streams), read
+            for e, buf in tape._streams.items():
+                assert tape._ones[e] == int(np.unpackbits(buf).sum()), (read, e)
 
 
 class TestTapeMemory:

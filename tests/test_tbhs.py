@@ -263,13 +263,13 @@ class TestMatchesRoundAtATime:
         new = tbhs_outcome(run_tbhs, *case)
         assert new == tbhs_outcome(reference_tbhs, *case)
         assert new[1] > 2 * tbhs._MEMO_COUNTS
-        assert max(len(t) for t in tbhs._radii.values()) <= tbhs._MEMO_COUNTS + 1
+        assert len(tbhs._radii_memo(1, 0.1, 1.0)) <= tbhs._MEMO_COUNTS + 1
 
     def test_memo_keeps_few_keys(self):
         inst = Instance(2, [0.9])
         for i in range(tbhs._MEMO_KEYS + 5):
             run_tbhs(Oracle(inst, seed=i), [0], TbhsConfig(0.1, 0.1 / (i + 1)))
-        assert len(tbhs._radii) <= tbhs._MEMO_KEYS
+        assert tbhs._radii_memo.cache_info().currsize <= tbhs._MEMO_KEYS
 
 
 def after_pulls(run, pulls):
