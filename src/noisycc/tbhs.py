@@ -18,11 +18,17 @@ input arms, deterministically.
 Rounds are evaluated in runs.  The selection seldom changes from one round
 to the next, and while the same (e_g, e_b) stays selected no other arm's
 bounds move.  So a run reads the two arms' next running means from the
-oracle in one block, forms their bounds in one tight loop, and stops at the
+oracle in one read, forms their bounds in one tight loop, and stops at the
 first round after which either arm is classified or the pair would no
 longer be selected: e_g must keep the (-LCB, index) minimum and e_b the
 (UCB, index) minimum, against each other and against the best other active
-arms, whose bounds are fixed for the run.  The oracle's counters and the
+arms, whose bounds are fixed for the run.  A run's read goes as far as the
+tape's table holds both arms' means (``Oracle.table_reach``), a strided view
+that costs the same at any length, and at least ``_BLOCK`` rounds, which is
+all it reads past the table or on a tape that keeps none; a run that reaches
+the end of its read, or the most rounds the budget leaves room for, goes on
+as the next run.  A run also stops at a round that leaves an arm's bound
+infinite, after which the bandit raises.  The oracle's counters and the
 heaps are updated once per run, and a run's radii are a slice of the radius
 memo.  The result, the rounds and the oracle's counters equal those of a
 loop that selects and pulls one round at a time.
@@ -44,6 +50,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import count, islice
@@ -60,8 +67,9 @@ from .oracle import _MAX_PULLS, Oracle
 _MEMO_COUNTS = 4096
 _MEMO_KEYS = 32
 
-# At most this many rounds' running means are read from the oracle at once;
-# a longer run goes on in the next block.
+# The fewest rounds a run reads, and all it reads past the tape's table or on
+# a tape that keeps none, where each mean is folded from a reward read off
+# the tape for it, so that a read costs more the longer it is.
 _BLOCK = 128
 
 
@@ -210,10 +218,11 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
     while active:
         g = _top(lcb_heap, neg_lcb, active)[1]
         b = _top(ucb_heap, ucb, active)[1]
-        run = _BLOCK
+        # Rounds the budget leaves room for.
+        left = math.inf
         if oracle.budget is not None:
-            run = min(run, (oracle.budget - oracle.total_pulls) // 2)
-            if run == 0:
+            left = (oracle.budget - oracle.total_pulls) // 2
+            if left == 0:
                 # Fewer than two pulls are left, so one of these raises.
                 oracle.advance(g, 1)
                 oracle.advance(b, 1)
@@ -232,6 +241,8 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
         kg = pulls[g]
         if g != b:
             kb = pulls[b]
+            reach = min(oracle.table_reach(g, kg), oracle.table_reach(b, kb))
+            run = min(left, max(_BLOCK, reach))
             steps = zip(
                 count(1),
                 oracle.running_means(g, kg, mean[g], run),
@@ -258,7 +269,11 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
             oracle.advance(b, done)
             pulls[b], mean[b], neg_lcb[b], ucb[b] = kb, mb, -lb, ub
         else:
-            # One arm holds both minima and is pulled twice per round.
+            # One arm holds both minima and is pulled twice per round.  Its
+            # run stops at the first infinite bound, as a two-arm run's tie
+            # tests stop it: no UCB of the run exceeds the largest float.
+            run = min(left, max(_BLOCK, oracle.table_reach(g, kg) // 2))
+            hi_b = min(hi_b, sys.float_info.max)
             steps = zip(
                 count(1),
                 islice(oracle.running_means(g, kg, mean[g], 2 * run), 1, None, 2),

@@ -293,6 +293,30 @@ class TestBadRunInputs:
         assert line.startswith(f"noisycc: error: trial 0 (kcfc-seq): delta={float(delta)!r}"
                                " is too small for n=6: the bandit runs at delta / n")
 
+    @pytest.mark.parametrize("delta,pair,pulls", [
+        # Every bound is infinite from the first pull, so arm 0 holds both
+        # minima, and its run stops at its first infinite bound.
+        ("5e-324", 0, 3),
+        # 4*m*k*k/delta first overflows at k = 1731 (m = 15), reached by
+        # pair 3 in a run of two arms.
+        ("1e-300", 3, 1731),
+    ])
+    def test_infinite_bound_error_names_the_first_such_pull(self, delta, pair, pulls,
+                                                            tmp_path, capsys):
+        path = tmp_path / "planted.json"
+        run_main(["gen", "--kind", "planted", "--n", "6", "--k", "2", "--seed", "1",
+                  "--out", str(path)])
+        with deadline(5):
+            line = self.usage_error(
+                ["run", "--algo", "kcfc", "--instance", str(path), "--epsilon", "1",
+                 "--delta", delta, "--mc-replays", "5", "--out", str(tmp_path / "res.csv")],
+                capsys)
+        assert line == (
+            f"noisycc: error: trial 0 (kcfc): delta={float(delta)!r} leaves the confidence"
+            f" bound of pair {pair} infinite after {pulls} pulls (radius_scale=1.0), so the"
+            " bandit could never classify it"
+        )
+
     @staticmethod
     def planted_n10(tmp_path):
         path = tmp_path / "planted.json"

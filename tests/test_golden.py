@@ -24,7 +24,11 @@ so every running mean is folded from float rewards) before one tape class
 with a branch per reward kind was split into a bit tape and a float tape,
 and ``uniform-fb-exact-n13`` and ``kcfb-n13`` (the first whose exact
 optimum splits the DP's top bits) before the DP's min-plus convolutions
-became gathers through cached split indices;
+became gathers through cached split indices, and ``kcfc-n30`` and
+``kcfc-seq-n30`` (the benchmark's ``bandit-mid`` shape, planted n = 30 at
+100 and 10 replays, many of whose bandit runs went on for 128 rounds, the
+most one read then held) before a bandit run read on as far as the tape's
+table holds its arms' means;
 any change to RNG consumption,
 pivot order, query order, the exact optimum's tie-break or number formatting
 shows up here.
@@ -56,6 +60,10 @@ INSTANCES = {
     # uniform-fb's estimates lie in {0, 0.5, 1}, and its exact solve walks ties.
     "n13": ["--kind", "planted", "--n", "13", "--k", "3", "--q", "0.1",
             "--in-mean", "0.9", "--out-mean", "0.1", "--seed", "5"],
+    # The benchmark's bandit-mid shape: similarities 0.3 and 0.7, which the
+    # bandit settles in a few hundred pulls, mostly within the table's 512.
+    "n30": ["--kind", "planted", "--n", "30", "--k", "4", "--q", "0.1",
+            "--in-mean", "0.7", "--out-mean", "0.3", "--seed", "23"],
 }
 
 FC = ["--epsilon", "1.0", "--delta", "0.1"]
@@ -113,6 +121,11 @@ CASES = {
                                      "--seed", "21", "--solver", "exact"]),
     "kcfb-n13": ("n13", ["--algo", "kcfb", "--epsilon", "1.0", "--budget", "7800",
                          "--trials", "3", "--mc-replays", "20", "--seed", "22"]),
+    "kcfc-n30": ("n30", ["--algo", "kcfc", *FC, "--trials", "2", "--mc-replays", "100",
+                         "--seed", "24", "--solver", "kwik_restarts"]),
+    "kcfc-seq-n30": ("n30", ["--algo", "kcfc-seq", *FC, "--trials", "2",
+                             "--mc-replays", "10", "--seed", "25",
+                             "--solver", "kwik_restarts"]),
 }
 
 EXPECTED_SHA256 = {
@@ -126,12 +139,14 @@ EXPECTED_SHA256 = {
     "kcfc-gauss-n6": "0f3cc7ff236f404ebb257ae8cde04ff81ea8394c2f618d3d7105bb9540fc9ac0",
     "kcfc-n70": "1c7ae3d83b767354f3395c5c50d3d947708e9786f19946441c4cf53384970e81",
     "kcfc-n64": "ed0e66ff49a9fa8a640f01ba273da84cb58f29b432e5c8b6d385fde9a1fce8d4",
+    "kcfc-n30": "4c1da4ac03cff00cca4f2303fabcd00ad95afb8cdcee734b727a6465862bde2c",
     "kcfc-n6": "b4e821c9d90e61ea5fdf194b83bbac1214e261a059e63cfed627ae95616f5554",
     "kcfc-seq-n15": "2e3938e90878f8db89348e81d3bd94992849c9d5def98c93d4a3aea9ba7986af",
     "kcfc-seq-n10-r500": "26a5a8db61273b3a8a94612138790dab0876ae025e2efc39e999c2b4d490b4b3",
     "kcfc-seq-gauss-n70": "1d6adf033f1de047b0e6de60424a56832c8d7bbdeac0b9d9c95c6b560175b78f",
     "kcfc-seq-gauss-n6": "72ae0fc5c6c3f51d0be18dd486a1c40f8e49f707ba300c14c26985a0e08acfe0",
     "kcfc-seq-n70": "109e497df4edf8b11ae02fd4ef8863200579385db016713584e27965b9a3ce90",
+    "kcfc-seq-n30": "fc57f29ce949e5c32917b8ce78714a5a671dbbe2487e5e8c5d78191676a4f4ae",
     "kcfc-seq-n6": "b6d48e3b69444dac5ed6290dcc95aed1bef251dd3e4b154d451c00eccde1b7f3",
     "uniform-fb-exact-n10": "793bcb5ea2100dfc9beec30105ad44752c3949e3afd399c510f117844574dcf7",
     "uniform-fb-exact-n13": "8a7c011c020be2700fca199b94f6f4167796b9110a15f30eae07419285d88109",

@@ -324,6 +324,47 @@ class TestTableReadsMatchRoundAtATime:
                 == tbhs_outcome(then_on_the_same_tape(reference_tbhs, arms, config), *case))
 
 
+    @pytest.mark.parametrize("noise", [None, NoiseModel("gaussian", 0.3)],
+                             ids=["bernoulli", "gaussian"])
+    @pytest.mark.parametrize("arms", [range(6), [1, 4], [2]], ids=["all", "two", "one"])
+    def test_runs_cross_the_table_end(self, noise, arms):
+        # Arms within 0.05 of 0.5 under a small slack need more than the
+        # table's 512 rewards, so runs that read the table go on past it.
+        inst = Instance(4, [0.47, 0.52, 0.5, 0.45, 0.54, 0.49])
+        for seed in range(5):
+            case = (inst, noise, seed, None, arms, TbhsConfig(0.05, 0.1))
+            new = tbhs_outcome(run_tbhs, *case)
+            assert new == tbhs_outcome(reference_tbhs, *case)
+            assert max(new[2]) > 512
+
+
+class TestRunLength:
+    """How far a run reads: as far as the tape's table holds its arms'
+    means, so a lone arm that settles within the table is one run, one
+    ``Oracle.advance`` call."""
+
+    @pytest.mark.parametrize("s,seed,rounds,good", [
+        (0.6, 0, 222, [0]),
+        (0.38, 2, 180, []),
+    ])
+    def test_lone_arm_settles_in_one_run_inside_the_table(self, monkeypatch, s, seed,
+                                                         rounds, good):
+        advances = []
+        advance = Oracle.advance
+
+        def counted(self, e, k):
+            advances.append(k)
+            advance(self, e, k)
+
+        monkeypatch.setattr(Oracle, "advance", counted)
+        out = run_tbhs(Oracle(Instance(2, [s]), seed=seed), [0], TbhsConfig(0.05, 0.1))
+        assert (out.rounds, sorted(out.good)) == (rounds, good)
+        # More rounds than a read past the table holds, within the table's
+        # 512 rewards: the first pull and two per round.
+        assert tbhs._BLOCK < rounds and 1 + 2 * rounds <= 512
+        assert advances == [2 * rounds]
+
+
 class TestPinnedOutputs:
     """Pinned (pulls_used, rounds, good) of ``run_tbhs``: any change to arm
     selection, tie-breaking or the reward stream changes them."""
