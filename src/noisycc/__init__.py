@@ -41,10 +41,11 @@ from .instance import (
     pair_of,
     save_instance,
 )
-from .kcfb import FbReport, next_tau, run_kcfb
-from .kcfc import FcReport, run_kcfc, run_kcfc_sequential
+from .kcfb import next_tau, run_kcfb
+from .kcfc import run_kcfc, run_kcfc_sequential
 from .offline import (
     OptResult,
+    Report,
     brute_force_opt,
     cost,
     expected_cost_mc,
@@ -62,8 +63,6 @@ from .uniform import (
 __all__ = [
     "BudgetExhaustedError",
     "EpsilonBands",
-    "FbReport",
-    "FcReport",
     "GapProfile",
     "GeneratorSpec",
     "Instance",
@@ -79,6 +78,7 @@ __all__ = [
     "OptResult",
     "Oracle",
     "ParameterError",
+    "Report",
     "TbhsConfig",
     "TbhsOutput",
     "brute_force_opt",

@@ -91,7 +91,7 @@ def _mc_expected_cost(
     rng = np.random.default_rng(replay_ss)
     scores: dict | None = None
     if algo == "kcfc":
-        return expected_cost_mc(instance, report.good_mask, replays, rng)
+        return expected_cost_mc(instance, report.estimates, replays, rng)
     if algo in ("kcfc-seq", "kcfb"):
         # One phase table per trial: the replays share the trial's reward
         # tape, so a phase they have seen before has the same outcome.

@@ -6,7 +6,8 @@ with elements whose empirical mean strictly exceeds 0.5.  The per-pair
 allocation starts at ``floor(T / m)``; when a phase removes pairs that were
 never queried, their pre-allocated pulls are redistributed evenly over the
 remaining pairs, rounding down.  The rounding keeps the total number of
-queries at or below ``T`` on every run.
+queries at or below ``T`` on every run.  ``Report.facts`` keeps each
+phase's ``(tau_r, arms)``, its allocation and its number of pairs.
 
 A phase asks the oracle only whether each arm's mean exceeds 0.5
 (``Oracle.pull_above``).  Every arm is charged its ``tau_r`` pulls, but the
@@ -17,26 +18,13 @@ so a replay reads and draws only as many rewards as decide the vote.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InsufficientBudgetError, ParameterError
 from .instance import num_pairs
-from .offline import pivot_cluster
+from .offline import Report, pivot_cluster
 from .oracle import Oracle
-
-
-@dataclass
-class FbReport:
-    clustering: np.ndarray
-    budget: int
-    queries_used: int
-    phases: int
-    tau_schedule: list[int] = field(default_factory=list)
-    # The uniform baselines' estimated similarities, one mean per pair (empty
-    # at n = 1), which MC replays hand to the solver again.  None for kcfb.
-    estimates: np.ndarray | None = None
 
 
 def next_tau(tau_r: int, v_r: int, v_r1: int) -> int:
@@ -62,7 +50,7 @@ def run_kcfb(
     budget: int,
     rng: np.random.Generator | None = None,
     memo: dict | None = None,
-) -> FbReport:
+) -> Report:
     """Cluster with at most ``budget`` oracle queries.
 
     ``memo`` is ``pivot_cluster``'s phase table, to share between replays of
@@ -86,5 +74,4 @@ def run_kcfb(
         # Redistribution never over-commits the remaining budget.
         assert tau * math.comb(arms + 1, 2) <= budget - used
         used += tau * arms
-    schedule = [tau for tau, _ in facts]
-    return FbReport(labels, budget, used, len(schedule), schedule)
+    return Report(labels, used, facts, budget=budget)

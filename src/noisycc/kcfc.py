@@ -8,37 +8,22 @@ expected cost over pivot randomness is at most ``5 * OPT + epsilon``.
 ``run_kcfc_sequential`` interleaves the two stages: each phase picks a pivot
 first and runs the threshold bandit only on the pivot's incident pairs (at
 slack ``epsilon / (12 |I|)`` and confidence ``delta / n``), so pairs inside
-early clusters are never queried at all.
+early clusters are never queried at all.  Its ``Report.facts`` keep each
+phase's ``(pulls, good)``: the bandit's pulls and the number of pairs it
+found good.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, UnboundedRadiusError
 from .instance import num_pairs, pair_mask
-from .offline import kwikcluster, pivot_cluster
+from .offline import Report, kwikcluster, pivot_cluster
 from .oracle import Oracle
 from .tbhs import TbhsConfig, run_tbhs
-
-
-@dataclass
-class FcReport:
-    clustering: np.ndarray
-    queries: int
-    epsilon: float
-    delta: float
-    epsilon_prime: float | None
-    good_set_size: int | None
-    # 0/1 mask of the learned high-similarity pairs, kept so reporting code can
-    # replay the pivot stage without re-querying.  None when there is no
-    # single such set.
-    good_mask: np.ndarray | None = None
-    # The uniform baseline's estimated similarities (see FbReport).
-    estimates: np.ndarray | None = None
 
 
 def _validate(epsilon: float, delta: float, radius_scale: float = 1.0) -> None:
@@ -56,12 +41,12 @@ def run_kcfc(
     delta: float,
     rng: np.random.Generator | None = None,
     radius_scale: float = 1.0,
-) -> FcReport:
+) -> Report:
     """Classify every pair once, then pivot-cluster on the good set."""
     _validate(epsilon, delta, radius_scale)
     n = oracle.instance.n
     if n == 1:
-        return FcReport(np.zeros(1, dtype=np.int64), 0, epsilon, delta, None, 0, np.zeros(0))
+        return Report(np.zeros(1, dtype=np.int64), 0, good_set_size=0, estimates=np.zeros(0))
     m = num_pairs(n)
     eps_prime = epsilon / (12.0 * m)
     if not eps_prime < 0.5:
@@ -69,7 +54,7 @@ def run_kcfc(
     out = run_tbhs(oracle, range(m), TbhsConfig(eps_prime, delta, radius_scale))
     good = pair_mask(out.good, m).astype(np.float64)
     labels = kwikcluster(good, n, rng)
-    return FcReport(labels, out.pulls_used, epsilon, delta, eps_prime, len(out.good), good)
+    return Report(labels, out.pulls_used, good_set_size=len(out.good), estimates=good)
 
 
 def run_kcfc_sequential(
@@ -79,7 +64,7 @@ def run_kcfc_sequential(
     rng: np.random.Generator | None = None,
     radius_scale: float = 1.0,
     memo: dict | None = None,
-) -> FcReport:
+) -> Report:
     """Per-phase variant: threshold-bandit only the pivot's incident pairs.
 
     ``memo`` is ``pivot_cluster``'s phase table, to share between replays of
@@ -110,5 +95,4 @@ def run_kcfc_sequential(
 
     labels, facts = pivot_cluster(n, rng, step, memo=memo)
     queries = sum(pulls for pulls, _ in facts)
-    good_total = sum(good for _, good in facts)
-    return FcReport(labels, queries, epsilon, delta, None, good_total, None)
+    return Report(labels, queries, facts, good_set_size=sum(good for _, good in facts))

@@ -11,7 +11,8 @@ membership from oracle samples instead of known similarities: each passes a
 step that maps the pairs from the pivot to the other survivors, and a state,
 to the joins, the next state and a fact about the phase, so that the
 Monte-Carlo replays of one trial can share a table of the phases they have
-run, keyed by the survivors.  The exact optimum is a subset DP, one numpy
+run, keyed by the survivors.  Every algorithm returns a ``Report``, which
+keeps those facts.  The exact optimum is a subset DP, one numpy
 min-plus subset convolution per element (cached gathers and a reduce), that
 breaks ties as enumeration in RGS order would.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Callable, Hashable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -55,6 +56,33 @@ def cost(instance: Instance, clustering) -> float:
     return pairwise_cost(instance.sims, labels)
 
 
+@dataclass
+class Report:
+    """What every clustering algorithm returns.
+
+    ``facts`` is ``pivot_cluster``'s list, one fact per phase: ``(tau,
+    arms)`` for ``kcfb`` and ``(pulls, good)`` for ``kcfc-seq``; ``kcfc``
+    and the uniform baselines keep none.  ``good_set_size`` is the number of
+    pairs the bandit found good (``kcfc``, ``kcfc-seq``), and ``budget`` the
+    query budget T (``kcfb``, the uniform baselines).  ``estimates`` is the
+    similarity vector the offline stage clustered, which MC replays cluster
+    again: ``kcfc``'s 0/1 good set or a uniform baseline's means, one per
+    pair (empty at n = 1).  It is None where each phase decides for itself
+    (``kcfb``, ``kcfc-seq``).
+    """
+
+    clustering: np.ndarray
+    queries_used: int
+    facts: list = field(default_factory=list)
+    good_set_size: int | None = None
+    budget: int | None = None
+    estimates: np.ndarray | None = None
+
+    @property
+    def phases(self) -> int:
+        return len(self.facts)
+
+
 def pivot_cluster(
     n: int,
     rng: np.random.Generator | None,
@@ -72,8 +100,8 @@ def pivot_cluster(
     the survivors where the bool mask ``join`` is true join p's cluster and
     the rest survive, still in increasing order; the next phase starts from
     ``next_state`` (``kcfb``'s tau; None for a stateless rule); and ``fact``
-    (such as the phase's query count) is collected.  Returns the labels and
-    the facts, one per phase.
+    (such as the phase's query count) is collected, one per phase, into the
+    list that ``Report.facts`` keeps.  Returns the labels and the facts.
 
     ``memo`` is for a step that is a pure function of (arms, state), as a
     replayed noisy rule is while its reward tape stays fixed.  It maps

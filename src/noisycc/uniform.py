@@ -5,7 +5,9 @@ The fixed-confidence variant chooses the per-pair pull count so that, with
 probability at least ``1 - delta``, every empirical mean is within
 ``epsilon / ((alpha + 1) m)`` of the truth, which turns any offline
 alpha-approximation into an ``(alpha, epsilon)``-approximation.  The
-fixed-budget variant simply spends ``floor(T / m)`` pulls per pair.
+fixed-budget variant simply spends ``floor(T / m)`` pulls per pair.  Both
+return the means in ``Report.estimates``; their ``Report.facts`` is empty,
+since they run no pivot phases of their own.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ import numpy as np
 
 from .errors import InstanceTooLargeError, InsufficientBudgetError, ParameterError
 from .instance import num_pairs
-from .kcfb import FbReport
-from .kcfc import FcReport, _validate
-from .offline import EXACT_MAX_N, kwikcluster, min_cost_partition, pairwise_cost
+from .kcfc import _validate
+from .offline import EXACT_MAX_N, Report, kwikcluster, min_cost_partition, pairwise_cost
 from .oracle import Oracle
 
 
@@ -90,16 +91,12 @@ def run_uniform_fc(
     delta: float,
     solver: OfflineSolver,
     rng: np.random.Generator | None = None,
-) -> FcReport:
+) -> Report:
     """The fixed-budget baseline at the budget of ``uniform_fc_pulls`` per pair."""
     _validate(epsilon, delta)
     m = oracle.instance.m
     per_pair = uniform_fc_pulls(solver.alpha, m, epsilon, delta) if m else 0
-    report = run_uniform_fb(oracle, m * per_pair, solver, rng)
-    return FcReport(
-        report.clustering, report.queries_used, epsilon, delta, None, None,
-        estimates=report.estimates,
-    )
+    return run_uniform_fb(oracle, m * per_pair, solver, rng)
 
 
 def run_uniform_fb(
@@ -107,7 +104,7 @@ def run_uniform_fb(
     budget: int,
     solver: OfflineSolver,
     rng: np.random.Generator | None = None,
-) -> FbReport:
+) -> Report:
     n = oracle.instance.n
     if solver.kind == "exact" and n > EXACT_MAX_N:
         raise InstanceTooLargeError(f"exact solver supports n <= {EXACT_MAX_N}, got n={n}")
@@ -115,8 +112,8 @@ def run_uniform_fb(
     if budget < m:
         raise InsufficientBudgetError(f"budget {budget} < m = {m}: every pair needs one pull")
     if n == 1:
-        return FbReport(np.zeros(1, dtype=np.int64), budget, 0, 1, [0], np.zeros(0))
+        return Report(np.zeros(1, dtype=np.int64), 0, budget=budget, estimates=np.zeros(0))
     per_pair = budget // m
     shat = oracle.pull_means(range(m), per_pair)
     labels = solver.solve(shat, n, rng)
-    return FbReport(labels, budget, m * per_pair, 1, [per_pair], shat)
+    return Report(labels, m * per_pair, budget=budget, estimates=shat)

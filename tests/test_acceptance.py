@@ -102,9 +102,9 @@ def _criterion3_runs():
         oracle = Oracle(inst, seed=seed)
         rep = run_kcfc(oracle, epsilon, delta, np.random.default_rng(seed))
         mc, stderr = expected_cost_mc(
-            inst, rep.good_mask, 500, np.random.default_rng(10_000 + seed)
+            inst, rep.estimates, 500, np.random.default_rng(10_000 + seed)
         )
-        results.append((rep.queries, mc, stderr))
+        results.append((rep.queries_used, mc, stderr))
     return inst, opt, epsilon, delta, results
 
 

@@ -63,7 +63,7 @@ class TestRunKcfb:
         inst = Instance(4, sims)
         oracle = Oracle(inst, seed=0)
         report = run_kcfb(oracle, 60, np.random.default_rng(1))
-        assert report.tau_schedule == [10, 30, 30]
+        assert [tau for tau, _ in report.facts] == [10, 30, 30]
         assert report.queries_used == 60
         assert report.phases == 3
         labels = report.clustering
@@ -97,7 +97,7 @@ class TestRunKcfb:
             expected_schedule.append(tau)
             expected_queries += tau * (v - 1)
             tau = next_tau(tau, v, v - 1)
-        assert report.tau_schedule == expected_schedule
+        assert [tau for tau, _ in report.facts] == expected_schedule
         assert report.queries_used == expected_queries
         assert report.queries_used <= T
 
@@ -113,7 +113,7 @@ class TestRunKcfb:
             assert report.queries_used <= budget
             assert report.queries_used == oracle.total_pulls
             assert report.clustering.min() >= 0
-            assert len(report.tau_schedule) == report.phases
+            assert len([tau for tau, _ in report.facts]) == report.phases
 
     def test_insufficient_budget(self):
         inst = Instance(4, [0.5] * 6)

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
+import noisycc.kcfc
 from noisycc import (
     GeneratorSpec,
     Instance,
+    OfflineSolver,
     Oracle,
     ParameterError,
+    Report,
     generate,
     num_pairs,
+    run_kcfb,
     run_kcfc,
     run_kcfc_sequential,
+    run_uniform_fb,
+    run_uniform_fc,
 )
 
 
@@ -36,7 +42,7 @@ class TestKcfc:
         inst = Instance(1, [])
         report = run_kcfc(Oracle(inst, seed=0), 0.5, 0.1)
         assert list(report.clustering) == [0]
-        assert report.queries == 0
+        assert report.queries_used == 0
 
     def test_high_similarity_pair_usually_joined(self):
         inst = Instance(2, [0.99])
@@ -54,7 +60,7 @@ class TestKcfc:
         report = run_kcfc(oracle, 1.0, 0.1, np.random.default_rng(0))
         # The pivot loop reads only the learned set; all pulls come from the
         # classification stage.
-        assert report.queries == oracle.total_pulls
+        assert report.queries_used == oracle.total_pulls
         _, per_pair = oracle.pulls_report()
         assert np.all(per_pair >= 1)
 
@@ -72,13 +78,22 @@ class TestKcfc:
             assert report.good_set_size == 0
             assert len(set(report.clustering.tolist())) == 5
 
-    def test_report_fields(self):
+    def test_report_fields(self, monkeypatch):
+        bandit = noisycc.kcfc.run_tbhs
+        configs = []
+
+        def run_tbhs(oracle, arms, config):
+            configs.append(config)
+            return bandit(oracle, arms, config)
+
+        monkeypatch.setattr(noisycc.kcfc, "run_tbhs", run_tbhs)
         inst = noiseless_planted(4, 2)
         report = run_kcfc(Oracle(inst, seed=0), 0.9, 0.2, np.random.default_rng(0))
-        assert report.epsilon == 0.9
-        assert report.delta == 0.2
-        assert report.epsilon_prime == pytest.approx(0.9 / (12 * 6), rel=1e-12)
-        assert report.good_set_size == int(report.good_mask.sum())
+        [config] = configs
+        assert config.epsilon == pytest.approx(0.9 / (12 * 6), rel=1e-12)
+        assert config.delta == 0.2
+        assert report.good_set_size == int(report.estimates.sum())
+        assert report.facts == []
 
     def test_bandit_draws_each_pair_once(self, monkeypatch):
         # n = 64, m = 2016: the tape keeps the table of running means.  Its
@@ -101,7 +116,7 @@ class TestKcfc:
         monkeypatch.setattr(np.random, "Generator", Counted)
         oracle = Oracle(inst, seed=3)
         report = run_kcfc(oracle, 1.0, 0.1, pivots)
-        assert report.queries == oracle.total_pulls > inst.m
+        assert report.queries_used == oracle.total_pulls > inst.m
         assert len(generators) == inst.m
         assert all(g.draws == 1 for g in generators)
         assert all(len(tape) == 512 // 8 for tape in oracle._tape._streams.values())
@@ -152,18 +167,34 @@ class TestKcfcSequential:
         inst = generate(GeneratorSpec("planted", n=6, k=3, flip_noise=0.05, seed=8))
         oracle = Oracle(inst, seed=8)
         report = run_kcfc_sequential(oracle, 1.0, 0.1, np.random.default_rng(8))
-        assert report.queries == oracle.total_pulls
+        assert report.queries_used == oracle.total_pulls
+
+    def test_report_sums_its_facts(self):
+        inst = generate(GeneratorSpec("planted", n=8, k=3, flip_noise=0.05, seed=8))
+        report = run_kcfc_sequential(Oracle(inst, seed=8), 1.0, 0.1, np.random.default_rng(8))
+        assert report.phases == len(set(report.clustering.tolist())) > 1
+        assert report.queries_used == sum(pulls for pulls, _ in report.facts)
+        assert report.good_set_size == sum(good for _, good in report.facts)
 
     def test_n1(self):
         report = run_kcfc_sequential(Oracle(Instance(1, []), seed=0), 0.5, 0.1)
         assert list(report.clustering) == [0]
-        assert report.queries == 0
+        assert report.queries_used == 0
         assert report.good_set_size == 0
-        assert report.epsilon_prime is None
-        assert report.good_mask is None
-        assert (report.epsilon, report.delta) == (0.5, 0.1)
+        assert report.estimates is None
 
     def test_epsilon_too_large_for_single_pair_phase(self):
         inst = Instance(2, [0.9])
         with pytest.raises(ParameterError):
             run_kcfc_sequential(Oracle(inst, seed=0), 6.0, 0.1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("run", [
+    lambda o: run_kcfc(o, 1.0, 0.1),
+    lambda o: run_kcfc_sequential(o, 1.0, 0.1),
+    lambda o: run_kcfb(o, 100),
+    lambda o: run_uniform_fc(o, 2.0, 0.3, OfflineSolver("exact")),
+    lambda o: run_uniform_fb(o, 100, OfflineSolver("exact")),
+], ids=["kcfc", "kcfc-seq", "kcfb", "uniform-fc", "uniform-fb"])
+def test_every_algorithm_returns_a_report(run):
+    assert type(run(Oracle(noiseless_planted(4, 2), seed=0))) is Report

@@ -80,7 +80,7 @@ def trial_phase(args, instance, noise, trial):
     n = instance.n
     if args.algo == "kcfc":
         report = run_kcfc(oracle, args.epsilon, args.delta, pivot_rng, args.radius_scale)
-        good = report.good_mask
+        good = report.estimates
         return lambda arms, _: (good[arms] > 0.5, None), None
     if args.algo == "kcfb":
         def phase(arms, tau):

@@ -96,7 +96,7 @@ class TestUniformFc:
         oracle = Oracle(inst, seed=2)
         report = run_uniform_fc(oracle, 2.0, 0.3, OfflineSolver("exact"), np.random.default_rng(0))
         per_pair_target = uniform_fc_pulls(1.0, 10, 2.0, 0.3)
-        assert report.queries == 10 * per_pair_target == oracle.total_pulls
+        assert report.queries_used == 10 * per_pair_target == oracle.total_pulls
         _, counts = oracle.pulls_report()
         assert np.all(counts == per_pair_target)
 
@@ -136,7 +136,7 @@ class TestUniformFc:
             Oracle(Instance(1, []), seed=0), 0.5, 0.1, OfflineSolver("exact")
         )
         assert list(report.clustering) == [0]
-        assert report.queries == 0
+        assert report.queries_used == 0
 
     def test_exact_guard_rejects_before_pulling(self):
         n = 14
