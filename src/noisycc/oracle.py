@@ -17,8 +17,8 @@ estimated with the noise realization held fixed.
 Rewards are read five ways: ``pull_each`` pulls each of a bandit's arms
 once, from the table's row 0 where it can, else as a phase read of one pull;
 ``running_means`` lists a pair's running means over its next rewards,
-``table_reach`` how many of them the tape's table holds, and ``advance``
-counts them as pulled (the threshold bandit); ``pull_means``
+``table_column`` gives those the tape's table holds as one strided view,
+and ``advance`` counts them as pulled (the threshold bandit); ``pull_means``
 reads the mean of k pulls of each arm of a phase (the uniform baselines);
 ``pull_above`` reads whether each such mean exceeds 0.5 (``kcfb``); and
 ``pull`` and ``pull_many`` return the rewards themselves, read by the tape's
@@ -244,30 +244,29 @@ class _Tape:
         """The running means after each of rewards i, ..., i + run - 1 of
         pair e: ``mu += (r - mu) / k`` one reward at a time, k counting on
         from ``k`` and the mean from ``mu``; a read of none draws nothing.
-        Where the tape keeps a table and i == k, the fold began at reward 0,
-        so its means up to reward ``_COLUMNS`` are the table's, the same
-        floats (``table_reach`` of them; a run within the table is a strided
-        view of it); past the table, and otherwise, the means are folded as
-        they are consumed."""
+        Where the column (``column``) holds them, the means are a slice of
+        it, the same floats; past the table, and otherwise, the means are
+        folded as they are consumed."""
         if run == 0:
             return ()
-        reach = self.table_reach(i, k)
-        if reach == 0:
+        col = self.column(e, i, k)
+        if run <= len(col):
+            return col[:run]
+        if not col:
             return _folded(self.rewards(e, i, run).tolist(), k, mu)
-        m = len(self.sims)
-        means = self._means
-        if run <= reach:
-            return means[k * m + e : (k + run) * m + e : m]
-        means = means[k * m + e :: m]
         rest = self.rewards(e, _COLUMNS, k + run - _COLUMNS).tolist()
-        return chain(means, _folded(rest, _COLUMNS, means[-1]))
+        return chain(col, _folded(rest, _COLUMNS, col[-1]))
 
-    def table_reach(self, i: int, k: int) -> int:
-        """How many of a pair's running means from reward i on, continuing
-        a fold of k rewards, ``running_means`` takes from the table: up to
-        its last column where the fold began at reward 0 (i == k) and the
-        tape keeps a table, built here at the first call; else 0."""
-        return _COLUMNS - k if i == k < _COLUMNS and self.table() is not None else 0
+    def column(self, e: int, i: int, k: int) -> memoryview:
+        """Pair e's running means after rewards k + 1, ..., ``_COLUMNS`` of a
+        fold of k rewards, continued from reward i: a strided view of the
+        table, built here at the first call, where the fold began at reward
+        0 (i == k) and the tape keeps a table; else an empty view."""
+        means = self.table() if i == k < _COLUMNS else None
+        if means is None:
+            return memoryview(b"").cast("d")
+        m = len(self.sims)
+        return means[k * m + e :: m]
 
     def table(self) -> memoryview | None:
         """The table of running means, a flat view of floats whose entry
@@ -630,20 +629,24 @@ class Oracle:
 
         An arm read from count 0 takes its first ``_COLUMNS`` means from the
         tape's table, where it keeps one, which its replays share; the same
-        floats, bit for bit.  A read within the table (``table_reach``) is
-        a strided view of it, which costs the same at any length; past the
-        table each mean is folded from a reward read off the tape for it.
+        floats, bit for bit.  A read within the table is a slice of the
+        arm's column (``table_column``); past the table each mean is folded
+        from a reward read off the tape for it.
         """
         if not (0 <= e < self._m and 0 <= run):
             self._check((e,), run)  # raises
         return self._tape.running_means(e, self._counts.item(e), k, mu, run)
 
-    def table_reach(self, e: int, k: int) -> int:
-        """How many of pair e's next running means, continuing a fold of its
-        last ``k`` pulls, ``running_means`` reads from the tape's table: up
-        to its last column where the tape keeps one and the fold began at
-        pair e's first pull (k equals its pull count), else 0."""
-        return self._tape.table_reach(self._counts.item(e), k)
+    def table_column(self, e: int, k: int) -> memoryview:
+        """Pair e's running means after its pulls k + 1, ..., ``_COLUMNS``
+        of a fold of its last ``k`` pulls, as a strided view of the tape's
+        table: where the tape keeps one and the fold began at pair e's first
+        pull (k equals its pull count), else an empty view.  A view taken
+        once serves every later read of the fold that stays in the table:
+        entry j is the mean after pull k + j + 1."""
+        if not 0 <= e < self._m:
+            self._check((e,), 0)  # raises
+        return self._tape.column(e, self._counts.item(e), k)
 
     def advance(self, e: int, k: int) -> None:
         """Count pair e's next k rewards as pulled, as k calls of ``pull``

@@ -22,22 +22,29 @@ oracle in one read, forms their bounds in one tight loop, and stops at the
 first round after which either arm is classified or the pair would no
 longer be selected: e_g must keep the (-LCB, index) minimum and e_b the
 (UCB, index) minimum, against each other and against the best other active
-arms, whose bounds are fixed for the run.  A run's read goes as far as the
-tape's table holds both arms' means (``Oracle.table_reach``), a strided view
-that costs the same at any length, and at least ``_BLOCK`` rounds, which is
-all it reads past the table or on a tape that keeps none; a run that reaches
-the end of its read, or the most rounds the budget leaves room for, goes on
-as the next run.  A run also stops at a round that leaves an arm's bound
-infinite, after which the bandit raises.  The oracle's counters and the
-heaps are updated once per run, and a run's radii are a slice of the radius
-memo.  The result, the rounds and the oracle's counters equal those of a
-loop that selects and pulls one round at a time.
+arms, whose bounds are fixed for the run.  Right after its first pulls the
+bandit fetches each arm's column of the tape's table
+(``Oracle.table_column``), a strided view of the arm's running means,
+empty where the tape keeps none or the arm was pulled before.  A run reads
+as far as both arms' columns hold their means, a slice of each view that
+costs the same at any length, and at least ``_BLOCK`` rounds, which is all
+it reads past the table or on a tape that keeps none, through
+``Oracle.running_means``; a run that reaches the end of its read, or the
+most rounds the budget leaves room for, goes on as the next run.  An arm
+that holds both minima is pulled twice a round, so its run reads every
+other mean: a view of its column at stride 2.  A run also stops at a round
+that leaves an arm's bound infinite, after which the bandit raises.  The
+oracle's counters and the heaps are updated once per run, and a run's
+radii are views of the radius memo, at stride 2 for a lone arm; no run
+copies a mean or a radius within the table and the memo.  The result, the
+rounds and the oracle's counters equal those of a loop that selects and
+pulls one round at a time.
 
 Exactness rule: every round is computed with the arithmetic of a round on
 its own, the running mean ``mu + (r - mu) / k`` one reward at a time and
 radii from ``radius`` itself (memoised), never a cumulative sum over ``k``
-or a vectorised log.  The running means come from ``Oracle.running_means``,
-which takes an arm's first means from the tape's table where it keeps one:
+or a vectorised log.  The running means come from the tape's table where
+it keeps one, through the arm's column or ``Oracle.running_means``:
 numpy folds the table one reward at a time with float64 ``-``, ``/`` and
 ``+``, the same IEEE operations as the scalar fold, which gives the rest.
 The first pulls, where every arm is unpulled, are the table's row 0
@@ -52,6 +59,7 @@ import heapq
 import math
 import sys
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count, islice
 
@@ -127,29 +135,37 @@ def _unclassifiable(m: int, config: TbhsConfig) -> bool:
 
 
 @functools.lru_cache(maxsize=_MEMO_KEYS)
-def _radii_memo(m: int, delta: float, scale: float) -> array:
+def _radii_memo(m: int, delta: float, scale: float) -> list[memoryview]:
     """The memo's table for (m, delta, scale), ``[nan, radius(m, 1, ...),
-    radius(m, 2, ...), ...]``, filled as far as ``_radius_span`` has needed."""
-    return array("d", [math.nan])
+    radius(m, 2, ...), ...]`` filled as far as ``_radius_span`` has needed,
+    as the one item of a list, where each growth puts a longer table."""
+    return [memoryview(array("d", [math.nan]))]
 
 
-def _radius_span(table: array, m: int, delta: float, scale: float, k: int, run: int) -> array:
-    """``radius(m, j, delta, scale)`` for j = k + 1, ..., k + run.
+def _radius_span(
+    memo: list[memoryview], m: int, delta: float, scale: float, k: int, run: int, step: int
+) -> Sequence[float]:
+    """``radius(m, j, delta, scale)`` for j = k + step, k + 2 * step, ...,
+    k + run * step.
 
-    Counts up to ``_MEMO_COUNTS`` read ``table``, the memo's table for
-    (m, delta, scale), filled as far as needed by calling ``radius`` itself;
-    larger counts call it directly.  Where the table already holds them, the
-    span is the table's slice, returned before any other work: the bandit
-    reads two spans per run.
+    Counts up to ``_MEMO_COUNTS`` read the memo's table for (m, delta, scale)
+    (``_radii_memo``), a view of it at stride ``step``; larger counts call
+    ``radius`` directly, and then the span is a list.  A table short of the
+    span is replaced by one at least twice as long, up to ``_MEMO_COUNTS``,
+    that holds the old one's radii, so views handed out before stay valid.
     """
-    end = k + run
+    table = memo[0]
+    end = k + run * step
+    if end >= len(table) and len(table) <= _MEMO_COUNTS:
+        grown = array("d", table)
+        upto = min(max(2 * len(table), end + 1), _MEMO_COUNTS + 1)
+        grown.extend([radius(m, j, delta, scale) for j in range(len(table), upto)])
+        table = memo[0] = memoryview(grown)
     if end < len(table):
-        return table[k + 1 : end + 1]
-    upto = min(end, _MEMO_COUNTS)
-    table.extend([radius(m, j, delta, scale) for j in range(len(table), upto + 1)])
-    span = table[k + 1 : end + 1]
-    span.extend([radius(m, j, delta, scale) for j in range(max(k + 1, len(table)), end + 1)])
-    return span
+        return table[k + step : end + 1 : step]
+    span = table[k + step :: step].tolist()
+    start = k + (len(span) + 1) * step
+    return span + [radius(m, j, delta, scale) for j in range(start, end + 1, step)]
 
 
 def _top(heap: list, key: dict, active: set, skip: tuple = ()) -> tuple | None:
@@ -201,7 +217,9 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
     # key still equals it selects the same arm as the live one.
     mean = dict(zip(arm_list, oracle.pull_each(arm_list)))
     pulls = dict.fromkeys(arm_list, 1)
-    radii = _radii_memo(m, delta, scale)
+    # Entry k - 1 of an arm's column is its mean after k + 1 pulls.
+    column = {e: oracle.table_column(e, 1) for e in arm_list}
+    memo = _radii_memo(m, delta, scale)
     rad = radius(m, 1, delta, scale)
     neg_lcb = {e: -(mu - rad) for e, mu in mean.items()}
     ucb = {e: mu + rad for e, mu in mean.items()}
@@ -239,16 +257,25 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
         lo_g = lcb_o if g_before_o else math.nextafter(lcb_o, math.inf)
         hi_b = ucb_o if b_before_o else math.nextafter(ucb_o, -math.inf)
         kg = pulls[g]
+        col_g = column[g]
         if g != b:
             kb = pulls[b]
-            reach = min(oracle.table_reach(g, kg), oracle.table_reach(b, kb))
+            col_b = column[b]
+            # The rounds both columns still hold.
+            reach = min(len(col_g) - kg, len(col_b) - kb) + 1
             run = min(left, max(_BLOCK, reach))
+            if run <= reach:
+                means_g = col_g[kg - 1 : kg - 1 + run]
+                means_b = col_b[kb - 1 : kb - 1 + run]
+            else:
+                means_g = oracle.running_means(g, kg, mean[g], run)
+                means_b = oracle.running_means(b, kb, mean[b], run)
             steps = zip(
                 count(1),
-                oracle.running_means(g, kg, mean[g], run),
-                _radius_span(radii, m, delta, scale, kg, run),
-                oracle.running_means(b, kb, mean[b], run),
-                _radius_span(radii, m, delta, scale, kb, run),
+                means_g,
+                _radius_span(memo, m, delta, scale, kg, run, 1),
+                means_b,
+                _radius_span(memo, m, delta, scale, kb, run, 1),
             )
             # Against each other, the smaller pair index wins a tie.
             g_first = g < b
@@ -272,13 +299,14 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
             # One arm holds both minima and is pulled twice per round.  Its
             # run stops at the first infinite bound, as a two-arm run's tie
             # tests stop it: no UCB of the run exceeds the largest float.
-            run = min(left, max(_BLOCK, oracle.table_reach(g, kg) // 2))
+            reach = len(col_g) - kg + 1
+            run = min(left, max(_BLOCK, reach // 2))
             hi_b = min(hi_b, sys.float_info.max)
-            steps = zip(
-                count(1),
-                islice(oracle.running_means(g, kg, mean[g], 2 * run), 1, None, 2),
-                _radius_span(radii, m, delta, scale, kg, 2 * run)[1::2],
-            )
+            if 2 * run <= reach:
+                means_g = col_g[kg : kg + 2 * run - 1 : 2]
+            else:
+                means_g = islice(oracle.running_means(g, kg, mean[g], 2 * run), 1, None, 2)
+            steps = zip(count(1), means_g, _radius_span(memo, m, delta, scale, kg, run, 2))
             for done, mg, rg in steps:
                 lg, ug = mg - rg, mg + rg
                 if not (lo_g <= lg < good_at and bad_at < ug <= hi_b):

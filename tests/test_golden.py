@@ -28,7 +28,9 @@ became gathers through cached split indices, and ``kcfc-n30`` and
 ``kcfc-seq-n30`` (the benchmark's ``bandit-mid`` shape, planted n = 30 at
 100 and 10 replays, many of whose bandit runs went on for 128 rounds, the
 most one read then held) before a bandit run read on as far as the tape's
-table holds its arms' means;
+table holds its arms' means, and ``kcfc-seq-gauss-n30`` (the same instance
+on Gaussian rewards, whose bandit reads a float tape's table) before a run
+read its arms' columns of the table and the radius memo as strided views;
 any change to RNG consumption,
 pivot order, query order, the exact optimum's tie-break or number formatting
 shows up here.
@@ -126,6 +128,9 @@ CASES = {
     "kcfc-seq-n30": ("n30", ["--algo", "kcfc-seq", *FC, "--trials", "2",
                              "--mc-replays", "10", "--seed", "25",
                              "--solver", "kwik_restarts"]),
+    "kcfc-seq-gauss-n30": ("n30", ["--algo", "kcfc-seq", *FC, *GAUSS, "--trials", "2",
+                                   "--mc-replays", "10", "--seed", "26",
+                                   "--solver", "kwik_restarts"]),
 }
 
 EXPECTED_SHA256 = {
@@ -144,6 +149,7 @@ EXPECTED_SHA256 = {
     "kcfc-seq-n15": "2e3938e90878f8db89348e81d3bd94992849c9d5def98c93d4a3aea9ba7986af",
     "kcfc-seq-n10-r500": "26a5a8db61273b3a8a94612138790dab0876ae025e2efc39e999c2b4d490b4b3",
     "kcfc-seq-gauss-n70": "1d6adf033f1de047b0e6de60424a56832c8d7bbdeac0b9d9c95c6b560175b78f",
+    "kcfc-seq-gauss-n30": "8d2a13e6bdd1b4383d52d2a39c9146f111a82605466623d36f55c852bbbc10fd",
     "kcfc-seq-gauss-n6": "72ae0fc5c6c3f51d0be18dd486a1c40f8e49f707ba300c14c26985a0e08acfe0",
     "kcfc-seq-n70": "109e497df4edf8b11ae02fd4ef8863200579385db016713584e27965b9a3ce90",
     "kcfc-seq-n30": "fc57f29ce949e5c32917b8ce78714a5a671dbbe2487e5e8c5d78191676a4f4ae",

@@ -899,6 +899,44 @@ class TestRunningMeans:
         assert peak < 12 * 2**20
 
 
+class TestTableColumn:
+    """``table_column(e, k)``: pair e's running means after pulls k + 1 to
+    512 as one view of the tape's table, where its fold began at its first
+    pull, and otherwise an empty view."""
+
+    @pytest.mark.parametrize("noise", NOISES)
+    @pytest.mark.parametrize("k", [0, 1, 300, 511])
+    def test_equals_the_scalar_fold(self, noise, k):
+        o = Oracle(Instance(5, STREAM_SIMS), noise, seed=5)
+        e = 4
+        o.advance(e, k)
+        column = o.table_column(e, k)
+        fold = scalar_fold(o._tape.rewards(e, 0, 512).tolist())
+        assert isinstance(column, memoryview)
+        assert bits(column) == bits(fold[k:])
+        assert o.total_pulls == k  # nothing pulled
+
+    @pytest.mark.parametrize("noise", NOISES)
+    def test_empty_where_the_fold_began_after_the_first_pull(self, noise):
+        # Arm 2 has 13 pulls: a fold from its 14th reward is not the table's.
+        o = offset_oracle(noise)
+        assert len(o.table_column(2, 0)) == 0
+        assert len(o.table_column(2, 12)) == 0
+        assert len(o.table_column(2, 13)) == 512 - 13
+        o.advance(0, 512)
+        assert len(o.table_column(0, 512)) == 0
+
+    def test_empty_on_a_tape_that_keeps_no_table(self):
+        # m = 2080: no table is built, and no pair is drawn.
+        o = Oracle(Instance(65, np.full(num_pairs(65), 0.5)), seed=3)
+        assert len(o.table_column(0, 0)) == 0
+        assert o._tape._means is None and not o._tape._streams
+
+    def test_invalid_pair(self):
+        with pytest.raises(InvalidPairError):
+            Oracle(Instance(5, STREAM_SIMS), seed=0).table_column(10, 0)
+
+
 def each_outcome(read, inst, noise, arms, budget=None, advanced=()):
     """``read(oracle, arms)`` on a fresh oracle whose pairs in ``advanced``
     were first counted as pulled: the rewards' bits or the error's type and

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from reads import pulled_mean
 from tbhs_reference import reference_tbhs
 
+import noisycc.oracle
 from noisycc import tbhs
 from noisycc import (
     BudgetExhaustedError,
@@ -57,6 +59,43 @@ class TestRadius:
 
     def test_scale_multiplies(self):
         assert radius(6, 3, 0.1, scale=2.5) == pytest.approx(2.5 * radius(6, 3, 0.1), rel=1e-12)
+
+
+class TestRadiusSpan:
+    """``_radius_span`` against ``radius`` itself, bit for bit: views of the
+    memo's table within it, lists past it."""
+
+    M, DELTA, SCALE = 7, 0.05, 0.75
+
+    def span(self, memo, k, run, step):
+        return tbhs._radius_span(memo, self.M, self.DELTA, self.SCALE, k, run, step)
+
+    def radii(self, k, run, step):
+        return [radius(self.M, k + t * step, self.DELTA, self.SCALE) for t in range(1, run + 1)]
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_spans_equal_radius(self, step):
+        # One memo, uncached: short spans, spans that grow the table, spans
+        # that cross the last memoised count and spans wholly past it.
+        memo = tbhs._radii_memo.__wrapped__(self.M, self.DELTA, self.SCALE)
+        cap = tbhs._MEMO_COUNTS
+        for k, run in [(0, 1), (1, 3), (2, 40), (0, 300), (90, 200), (cap - 70, 30),
+                       (cap - 7, 9), (cap - 1, 1), (cap, 4), (cap + 11, 5), (3, 2)]:
+            span = self.span(memo, k, run, step)
+            assert [r.hex() for r in span] == [r.hex() for r in self.radii(k, run, step)]
+            assert isinstance(span, memoryview) == (k + run * step <= cap)
+        assert len(memo[0]) == cap + 1
+
+    def test_views_outlive_the_growth(self):
+        memo = tbhs._radii_memo.__wrapped__(self.M, self.DELTA, self.SCALE)
+        early = self.span(memo, 0, 5, 1)
+        table = memo[0]
+        # The memo holds what its spans have needed, not every count.
+        assert 5 < len(table) < tbhs._MEMO_COUNTS
+        late = self.span(memo, 100, 50, 2)
+        assert memo[0] is not table and len(memo[0]) >= 2 * len(table)
+        assert list(early) == self.radii(0, 5, 1)
+        assert list(late) == self.radii(100, 50, 2)
 
 
 class TestConfig:
@@ -263,7 +302,7 @@ class TestMatchesRoundAtATime:
         new = tbhs_outcome(run_tbhs, *case)
         assert new == tbhs_outcome(reference_tbhs, *case)
         assert new[1] > 2 * tbhs._MEMO_COUNTS
-        assert len(tbhs._radii_memo(1, 0.1, 1.0)) <= tbhs._MEMO_COUNTS + 1
+        assert len(tbhs._radii_memo(1, 0.1, 1.0)[0]) <= tbhs._MEMO_COUNTS + 1
 
     def test_memo_keeps_few_keys(self):
         inst = Instance(2, [0.9])
@@ -323,6 +362,15 @@ class TestTableReadsMatchRoundAtATime:
         assert (tbhs_outcome(then_on_the_same_tape(run_tbhs, arms, config), *case)
                 == tbhs_outcome(then_on_the_same_tape(reference_tbhs, arms, config), *case))
 
+
+    @settings(max_examples=100, deadline=None)
+    @given(bandit_cases())
+    def test_random_cases_without_a_table(self, case):
+        # As on an instance of more than _TABLE_PAIRS pairs: the tape keeps
+        # no table, and every running mean is folded from its rewards.
+        with mock.patch.object(noisycc.oracle, "_TABLE_PAIRS", 0):
+            assert Oracle(case[0])._tape.table() is None
+            assert tbhs_outcome(run_tbhs, *case) == tbhs_outcome(reference_tbhs, *case)
 
     @pytest.mark.parametrize("noise", [None, NoiseModel("gaussian", 0.3)],
                              ids=["bernoulli", "gaussian"])
