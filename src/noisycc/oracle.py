@@ -16,16 +16,17 @@ estimated with the noise realization held fixed.
 
 Rewards are read five ways: ``pull_each`` pulls each of a bandit's arms
 once, from the table's row 0 where it can, else as a phase read of one pull;
-``running_means`` lists a pair's running means over its next rewards,
-``table_column`` gives those the tape's table holds as one strided view,
-and ``advance`` counts them as pulled (the threshold bandit); ``pull_means``
-reads the mean of k pulls of each arm of a phase (the uniform baselines);
-``pull_above`` reads whether each such mean exceeds 0.5 (``kcfb``); and
-``pull`` and ``pull_many`` return the rewards themselves, read by the tape's
-``rewards`` as is the bandit's fold past the table.  A ``_BitTape`` keeps
-the count of ones of every pair it has drawn, which bounds the ones among
-its first k rewards, so ``pull_above`` decides most tests from it and draws
-new rewards only until the answer is settled.
+``table_column`` gives a pair's running means that the tape's table holds
+as one strided view, ``running_means`` folds them past it, or on a tape
+that keeps none, from the pair's next rewards, and ``advance`` counts them
+as pulled (the threshold bandit); ``pull_means`` reads the mean of k pulls
+of each arm of a phase (the uniform baselines); ``pull_above`` reads
+whether each such mean exceeds 0.5 (``kcfb``); and ``pull`` and
+``pull_many`` return the rewards themselves, read by the tape's ``rewards``
+as is the bandit's fold.  Only ``pull_each`` and ``table_column`` read the
+table.  A ``_BitTape`` keeps the count of ones of every pair it has drawn,
+which bounds the ones among its first k rewards, so ``pull_above`` decides
+most tests from it and draws new rewards only until the answer is settled.
 
 ``_BitTape.draw_first`` is the tape's one block draw: it draws the first
 rewards of the pairs that have no tape yet, each pair's stream into one row
@@ -45,7 +46,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -239,34 +239,6 @@ class _Tape:
         self._streams: dict[int, np.ndarray] = {}
         # Entry j * m + e: the running mean of pair e's first j + 1 rewards.
         self._means: memoryview | None = None
-
-    def running_means(self, e: int, i: int, k: int, mu: float, run: int) -> Iterable[float]:
-        """The running means after each of rewards i, ..., i + run - 1 of
-        pair e: ``mu += (r - mu) / k`` one reward at a time, k counting on
-        from ``k`` and the mean from ``mu``; a read of none draws nothing.
-        Where the column (``column``) holds them, the means are a slice of
-        it, the same floats; past the table, and otherwise, the means are
-        folded as they are consumed."""
-        if run == 0:
-            return ()
-        col = self.column(e, i, k)
-        if run <= len(col):
-            return col[:run]
-        if not col:
-            return _folded(self.rewards(e, i, run).tolist(), k, mu)
-        rest = self.rewards(e, _COLUMNS, k + run - _COLUMNS).tolist()
-        return chain(col, _folded(rest, _COLUMNS, col[-1]))
-
-    def column(self, e: int, i: int, k: int) -> memoryview:
-        """Pair e's running means after rewards k + 1, ..., ``_COLUMNS`` of a
-        fold of k rewards, continued from reward i: a strided view of the
-        table, built here at the first call, where the fold began at reward
-        0 (i == k) and the tape keeps a table; else an empty view."""
-        means = self.table() if i == k < _COLUMNS else None
-        if means is None:
-            return memoryview(b"").cast("d")
-        m = len(self.sims)
-        return means[k * m + e :: m]
 
     def table(self) -> memoryview | None:
         """The table of running means, a flat view of floats whose entry
@@ -627,26 +599,30 @@ class Oracle:
         continuing ``mu``, the mean this fold gives after pair e's last ``k``
         pulls.
 
-        An arm read from count 0 takes its first ``_COLUMNS`` means from the
-        tape's table, where it keeps one, which its replays share; the same
-        floats, bit for bit.  A read within the table is a slice of the
-        arm's column (``table_column``); past the table each mean is folded
-        from a reward read off the tape for it.
+        Each mean is folded, as it is consumed, from a reward read off the
+        tape for it; this read builds no table, and a read of none draws
+        nothing.  The means the tape's table holds are read through
+        ``table_column``.
         """
         if not (0 <= e < self._m and 0 <= run):
             self._check((e,), run)  # raises
-        return self._tape.running_means(e, self._counts.item(e), k, mu, run)
+        return _folded(self._tape.rewards(e, self._counts.item(e), run).tolist(), k, mu)
 
     def table_column(self, e: int, k: int) -> memoryview:
         """Pair e's running means after its pulls k + 1, ..., ``_COLUMNS``
         of a fold of its last ``k`` pulls, as a strided view of the tape's
-        table: where the tape keeps one and the fold began at pair e's first
-        pull (k equals its pull count), else an empty view.  A view taken
-        once serves every later read of the fold that stays in the table:
-        entry j is the mean after pull k + j + 1."""
+        table, built at the tape's first table read: where the tape keeps
+        one and the fold began at pair e's first pull (k equals its pull
+        count), else an empty view.  The table holds the scalar fold's
+        floats, bit for bit, and its replays share it.  A view taken once
+        serves every later read of the fold that stays in the table: entry j
+        is the mean after pull k + j + 1."""
         if not 0 <= e < self._m:
             self._check((e,), 0)  # raises
-        return self._tape.column(e, self._counts.item(e), k)
+        means = self._tape.table() if self._counts.item(e) == k < _COLUMNS else None
+        if means is None:
+            return memoryview(b"").cast("d")
+        return means[k * self._m + e :: self._m]
 
     def advance(self, e: int, k: int) -> None:
         """Count pair e's next k rewards as pulled, as k calls of ``pull``

@@ -25,28 +25,29 @@ longer be selected: e_g must keep the (-LCB, index) minimum and e_b the
 arms, whose bounds are fixed for the run.  Right after its first pulls the
 bandit fetches each arm's column of the tape's table
 (``Oracle.table_column``), a strided view of the arm's running means,
-empty where the tape keeps none or the arm was pulled before.  A run reads
-as far as both arms' columns hold their means, a slice of each view that
-costs the same at any length, and at least ``_BLOCK`` rounds, which is all
-it reads past the table or on a tape that keeps none, through
-``Oracle.running_means``; a run that reaches the end of its read, or the
-most rounds the budget leaves room for, goes on as the next run.  An arm
-that holds both minima is pulled twice a round, so its run reads every
-other mean: a view of its column at stride 2.  A run also stops at a round
-that leaves an arm's bound infinite, after which the bandit raises.  The
-oracle's counters and the heaps are updated once per run, and a run's
-radii are views of the radius memo, at stride 2 for a lone arm; no run
-copies a mean or a radius within the table and the memo.  The result, the
-rounds and the oracle's counters equal those of a loop that selects and
+empty where the tape keeps none or the arm was pulled before.  While both
+arms' columns hold means, a run reads exactly as far as they do, a slice of
+each view that costs the same at any length; once either is used up or
+empty, it reads ``_BLOCK`` rounds through ``Oracle.running_means``.  A run
+that reaches the end of its read, or the most rounds the budget leaves room
+for, goes on as the next run.  An arm that holds both minima is pulled
+twice a round, so its run reads every other mean: a view of its column at
+stride 2, or every other of ``2 * _BLOCK`` folded means.  A run also stops
+at a round that leaves an arm's bound infinite, after which the bandit
+raises.  The oracle's counters and the heaps are updated once per run, and
+a run's radii are views of the radius memo, at stride 2 for a lone arm; no
+run copies a mean or a radius within the table and the memo.  The result,
+the rounds and the oracle's counters equal those of a loop that selects and
 pulls one round at a time.
 
 Exactness rule: every round is computed with the arithmetic of a round on
 its own, the running mean ``mu + (r - mu) / k`` one reward at a time and
 radii from ``radius`` itself (memoised), never a cumulative sum over ``k``
-or a vectorised log.  The running means come from the tape's table where
-it keeps one, through the arm's column or ``Oracle.running_means``:
-numpy folds the table one reward at a time with float64 ``-``, ``/`` and
-``+``, the same IEEE operations as the scalar fold, which gives the rest.
+or a vectorised log.  The running means come from the tape's table, through
+the arm's column, where it keeps one, and from ``Oracle.running_means``'
+scalar fold past it: numpy folds the table one reward at a time with float64
+``-``, ``/`` and ``+``, the same IEEE operations as the scalar fold, so a
+fold continued from a column's last mean gives the same floats.
 The first pulls, where every arm is unpulled, are the table's row 0
 (``Oracle.pull_each``): a mean of one reward is the reward.  One differing
 last bit can move an arm between the good and the bad set.
@@ -75,9 +76,9 @@ from .oracle import _MAX_PULLS, Oracle
 _MEMO_COUNTS = 4096
 _MEMO_KEYS = 32
 
-# The fewest rounds a run reads, and all it reads past the tape's table or on
-# a tape that keeps none, where each mean is folded from a reward read off
-# the tape for it, so that a read costs more the longer it is.
+# The rounds a run reads past the tape's table or on a tape that keeps none,
+# where each mean is folded from a reward read off the tape for it, so that a
+# read costs more the longer it is.
 _BLOCK = 128
 
 
@@ -263,11 +264,12 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
             col_b = column[b]
             # The rounds both columns still hold.
             reach = min(len(col_g) - kg, len(col_b) - kb) + 1
-            run = min(left, max(_BLOCK, reach))
-            if run <= reach:
+            if reach > 0:
+                run = min(left, reach)
                 means_g = col_g[kg - 1 : kg - 1 + run]
                 means_b = col_b[kb - 1 : kb - 1 + run]
             else:
+                run = min(left, _BLOCK)
                 means_g = oracle.running_means(g, kg, mean[g], run)
                 means_b = oracle.running_means(b, kb, mean[b], run)
             steps = zip(
@@ -299,12 +301,14 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
             # One arm holds both minima and is pulled twice per round.  Its
             # run stops at the first infinite bound, as a two-arm run's tie
             # tests stop it: no UCB of the run exceeds the largest float.
-            reach = len(col_g) - kg + 1
-            run = min(left, max(_BLOCK, reach // 2))
+            # The rounds its column still holds.
+            reach = (len(col_g) - kg + 1) // 2
             hi_b = min(hi_b, sys.float_info.max)
-            if 2 * run <= reach:
+            if reach > 0:
+                run = min(left, reach)
                 means_g = col_g[kg : kg + 2 * run - 1 : 2]
             else:
+                run = min(left, _BLOCK)
                 means_g = islice(oracle.running_means(g, kg, mean[g], 2 * run), 1, None, 2)
             steps = zip(count(1), means_g, _radius_span(memo, m, delta, scale, kg, run, 2))
             for done, mg, rg in steps:

@@ -30,7 +30,12 @@ became gathers through cached split indices, and ``kcfc-n30`` and
 most one read then held) before a bandit run read on as far as the tape's
 table holds its arms' means, and ``kcfc-seq-gauss-n30`` (the same instance
 on Gaussian rewards, whose bandit reads a float tape's table) before a run
-read its arms' columns of the table and the radius memo as strided views;
+read its arms' columns of the table and the radius memo as strided views,
+and ``kcfc-near-n10`` and ``kcfc-seq-near-n10`` (similarities 0.56 and
+0.44, near the threshold, so that many bandit runs read past the table's
+512 means, some of them from a column that held fewer than 128) before a
+run read only as far as its columns hold and folded the rest off the tape
+in a run of its own;
 any change to RNG consumption,
 pivot order, query order, the exact optimum's tie-break or number formatting
 shows up here.
@@ -66,6 +71,9 @@ INSTANCES = {
     # bandit settles in a few hundred pulls, mostly within the table's 512.
     "n30": ["--kind", "planted", "--n", "30", "--k", "4", "--q", "0.1",
             "--in-mean", "0.7", "--out-mean", "0.3", "--seed", "23"],
+    # Similarities 0.56 and 0.44: the bandit pulls most arms past the table.
+    "near10": ["--kind", "planted", "--n", "10", "--k", "3", "--q", "0.1",
+               "--in-mean", "0.56", "--out-mean", "0.44", "--seed", "2"],
 }
 
 FC = ["--epsilon", "1.0", "--delta", "0.1"]
@@ -131,6 +139,10 @@ CASES = {
     "kcfc-seq-gauss-n30": ("n30", ["--algo", "kcfc-seq", *FC, *GAUSS, "--trials", "2",
                                    "--mc-replays", "10", "--seed", "26",
                                    "--solver", "kwik_restarts"]),
+    "kcfc-near-n10": ("near10", ["--algo", "kcfc", *FC, "--trials", "2",
+                                 "--mc-replays", "50", "--seed", "5"]),
+    "kcfc-seq-near-n10": ("near10", ["--algo", "kcfc-seq", *FC, "--trials", "2",
+                                     "--mc-replays", "50", "--seed", "5"]),
 }
 
 EXPECTED_SHA256 = {
@@ -145,6 +157,7 @@ EXPECTED_SHA256 = {
     "kcfc-n70": "1c7ae3d83b767354f3395c5c50d3d947708e9786f19946441c4cf53384970e81",
     "kcfc-n64": "ed0e66ff49a9fa8a640f01ba273da84cb58f29b432e5c8b6d385fde9a1fce8d4",
     "kcfc-n30": "4c1da4ac03cff00cca4f2303fabcd00ad95afb8cdcee734b727a6465862bde2c",
+    "kcfc-near-n10": "b81bacbab7f2ed6150699ed2947fdaac1ee0fc282b0cfa36d1bdf8a4e6c1c9c9",
     "kcfc-n6": "b4e821c9d90e61ea5fdf194b83bbac1214e261a059e63cfed627ae95616f5554",
     "kcfc-seq-n15": "2e3938e90878f8db89348e81d3bd94992849c9d5def98c93d4a3aea9ba7986af",
     "kcfc-seq-n10-r500": "26a5a8db61273b3a8a94612138790dab0876ae025e2efc39e999c2b4d490b4b3",
@@ -153,6 +166,7 @@ EXPECTED_SHA256 = {
     "kcfc-seq-gauss-n6": "72ae0fc5c6c3f51d0be18dd486a1c40f8e49f707ba300c14c26985a0e08acfe0",
     "kcfc-seq-n70": "109e497df4edf8b11ae02fd4ef8863200579385db016713584e27965b9a3ce90",
     "kcfc-seq-n30": "fc57f29ce949e5c32917b8ce78714a5a671dbbe2487e5e8c5d78191676a4f4ae",
+    "kcfc-seq-near-n10": "02d8e8ff4a16df04fa097e6ff07c73c5917aabd4d7e538407cbadffd4f124226",
     "kcfc-seq-n6": "b6d48e3b69444dac5ed6290dcc95aed1bef251dd3e4b154d451c00eccde1b7f3",
     "uniform-fb-exact-n10": "793bcb5ea2100dfc9beec30105ad44752c3949e3afd399c510f117844574dcf7",
     "uniform-fb-exact-n13": "8a7c011c020be2700fca199b94f6f4167796b9110a15f30eae07419285d88109",

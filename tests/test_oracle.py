@@ -730,8 +730,10 @@ def reference_rewards(seed, e, s, noise, k):
 
 
 class TestRunningMeans:
-    """``running_means`` continues the scalar fold bit for bit, whether it
-    reads the tape's table or folds past it or without it."""
+    """``running_means`` continues the scalar fold bit for bit from any
+    count, folding the pair's next rewards off the tape; it reads no table.
+    The table, which a bandit reads through ``table_column``, holds the
+    same floats."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -772,6 +774,17 @@ class TestRunningMeans:
         assert o._tape._means is None and not o._tape._streams
 
     @pytest.mark.parametrize("noise", NOISES)
+    def test_builds_no_table(self, noise):
+        # m = 10, a tape that keeps a table: a fold of 600 means, past the
+        # table's 512, draws pair e alone.
+        o = Oracle(Instance(5, STREAM_SIMS), noise, seed=5)
+        e = 7
+        means = list(o.running_means(e, 0, 0.0, 600))
+        tape = o._tape
+        assert bits(means) == bits(scalar_fold(tape.rewards(e, 0, 600).tolist()))
+        assert tape._means is None and list(tape._streams) == [e]
+
+    @pytest.mark.parametrize("noise", NOISES)
     def test_arm_entering_at_a_non_zero_count(self, noise):
         # Arm 2 has 13 pulls; the fold starts at its 14th reward, as a
         # bandit's does for an arm it first pulls there.
@@ -790,6 +803,7 @@ class TestRunningMeans:
         inst = Instance(n, np.random.default_rng(n).random(num_pairs(n)))
         o = Oracle(inst, seed=3)
         e = inst.m - 1
+        o.table_column(e, 0)
         means = list(o.running_means(e, 0, 0.0, 600))
         assert bits(means) == bits(scalar_fold(o._tape.rewards(e, 0, 600).tolist()))
         keeps = inst.m <= _TABLE_PAIRS
@@ -797,14 +811,14 @@ class TestRunningMeans:
         assert len(o._tape._streams) == (inst.m if keeps else 1)
 
     def test_table_draws_the_first_rewards_of_every_pair(self):
-        # On a tape that keeps the table, a bandit's first read draws the
-        # first 512 rewards of every pair, so a non-finite Gaussian reward
-        # among them raises there, even in a pair it never reads.
+        # On a tape that keeps the table, a bandit's first table read draws
+        # the first 512 rewards of every pair, so a non-finite Gaussian
+        # reward among them raises there, even in a pair it never reads.
         noise = NoiseModel("gaussian", sigma=5e307)
         inst = Instance(5, STREAM_SIMS)
         assert np.isfinite(Oracle(inst, noise, seed=0).pull_many(0, 64)).all()
         with pytest.raises(ParameterError, match="non-finite reward for pair 9"):
-            list(Oracle(inst, noise, seed=0).running_means(0, 0, 0.0, 1))
+            Oracle(inst, noise, seed=0).table_column(0, 0)
 
     def test_invalid_pair(self):
         with pytest.raises(InvalidPairError):
@@ -1277,6 +1291,7 @@ class TestTapeMemory:
         o.pull_many(1, 100)
         o.pull_means([2, 3], 700)
         o.pull_above([4], 5000)
+        o.table_column(0, 0)
         list(o.running_means(0, 0, 0.0, 600))
         o.replay().pull_many(1, 300)
         tape = o._tape
