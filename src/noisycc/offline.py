@@ -13,7 +13,7 @@ to the joins, the next state and a fact about the phase, so that the
 Monte-Carlo replays of one trial can share a table of the phases they have
 run, keyed by the survivors.  Every algorithm returns a ``Report``, which
 keeps those facts.  The exact optimum is a subset DP, one numpy
-min-plus subset convolution per element (cached gathers and a reduce), that
+min-plus subset convolution per element (cached gathers and reduces), that
 breaks ties as enumeration in RGS order would.
 """
 
@@ -213,29 +213,23 @@ def _subset_min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Over at most ``_GATHER_BITS`` bits this is one gather of every candidate
     ``a[T] + b[R ∖ T]`` through the cached ``_splits`` and one
-    ``np.minimum.reduceat`` per R; a minimum is exact, so the order of the
-    candidates does not matter.  A wider convolution first splits on its top
-    bits, each split turning every sub-problem into three (neither T nor
-    R ∖ T holds the bit, T holds it, or R ∖ T holds it) held in row j of the
-    copies; one gather solves every row, and ``np.minimum`` folds the rows
-    back.  The split cache holds at most 3^10 / 2 index pairs (0.46 MiB).
+    ``np.minimum.reduceat`` per R.  A wider convolution recurses on its top
+    bit, which gives three sub-problems: neither T nor R ∖ T holds it (the
+    lower half of out), T holds it, or R ∖ T holds it (the upper half, the
+    minimum of the two).  A call thus makes at most 3^(d - 9) gathers of at
+    most 3^9 candidates each; a minimum is exact, so neither the order nor
+    the grouping of the candidates matters.  The split cache holds at most
+    3^10 / 2 index pairs (0.46 MiB).
     """
-    d = len(a).bit_length() - 1
-    a, b = a.reshape(1, -1), b.reshape(1, -1)
-    top = max(d - _GATHER_BITS, 0)
-    for _ in range(top):
-        half = a.shape[1] // 2
-        a = np.concatenate((a[:, :half], a[:, half:], a[:, :half]))
-        b = np.concatenate((b[:, :half], b[:, :half], b[:, half:]))
-    t, u, starts = _splits(d - top)
-    # ``np.take`` gathers along a row about twice as fast as indexing does.
-    sums = np.take(a, t, axis=1)
-    sums += np.take(b, u, axis=1)  # in place: a third array would add 4 MiB at n = 13
-    out = np.minimum.reduceat(sums, starts, axis=1)
-    for _ in range(top):
-        p = len(out) // 3
-        out = np.concatenate((out[:p], np.minimum(out[p : 2 * p], out[2 * p :])), axis=1)
-    return out.ravel()
+    if len(a) <= 1 << _GATHER_BITS:
+        t, u, starts = _splits(len(a).bit_length() - 1)
+        sums = np.take(a, t)
+        sums += np.take(b, u)  # in place: a leaf holds at most 3^9 sums (154 KiB)
+        return np.minimum.reduceat(sums, starts)
+    h = len(a) // 2
+    low = _subset_min_plus(a[:h], b[:h])
+    high = np.minimum(_subset_min_plus(a[h:], b[:h]), _subset_min_plus(a[:h], b[h:]))
+    return np.concatenate((low, high))
 
 
 def _subset_dp(sims: np.ndarray, n: int) -> tuple[array, np.ndarray]:

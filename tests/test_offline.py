@@ -472,6 +472,20 @@ class TestSubsetConvolution:
         assert peak < 10 * 2**20
         assert offline._splits.cache_info().currsize <= offline._GATHER_BITS + 1
 
+    # A convolution wider than the gather holds one leaf's sums at a time,
+    # not all 3^d candidates at once.
+    @pytest.mark.parametrize("n", [11, 12, 13])
+    def test_wide_convolutions_stay_small(self, n):
+        inst = generate(GeneratorSpec("planted", n=n, k=3, flip_noise=0.1,
+                                      in_mean=0.9, out_mean=0.1, seed=2))
+        tracemalloc.start()
+        try:
+            min_cost_partition(inst.sims, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
 
 class TestFiveApproximation:
     def test_mc_expected_cost_within_factor_five(self):
