@@ -412,6 +412,28 @@ class TestRunLength:
         assert tbhs._BLOCK < rounds and 1 + 2 * rounds <= 512
         assert advances == [2 * rounds]
 
+    @pytest.mark.parametrize("noise", [None, NoiseModel("gaussian", 0.3)],
+                             ids=["bernoulli", "gaussian"])
+    def test_folds_only_past_the_arms_column(self, monkeypatch, noise):
+        # An arm's column holds its means after pulls 2 to 512, so a run
+        # reads it there whatever the other arm reads, and folds an arm's
+        # rewards only from 511 pulls on: a lone arm at 511 needs the mean
+        # after pull 513.  Arms near 0.5 go past the table, others stop within.
+        folded_at = []
+        running_means = Oracle.running_means
+
+        def recorded(self, e, k, mu, run):
+            folded_at.append(k)
+            return running_means(self, e, k, mu, run)
+
+        monkeypatch.setattr(Oracle, "running_means", recorded)
+        inst = Instance(4, [0.7, 0.55, 0.3, 0.5, 0.3, 0.48])
+        for seed in range(5):
+            case = (inst, noise, seed, None, range(6), TbhsConfig(0.05, 0.1))
+            new = tbhs_outcome(run_tbhs, *case)
+            assert new == tbhs_outcome(reference_tbhs, *case)
+        assert folded_at and min(folded_at) >= 511
+
 
 class TestPinnedOutputs:
     """Pinned (pulls_used, rounds, good) of ``run_tbhs``: any change to arm
