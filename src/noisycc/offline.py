@@ -12,9 +12,9 @@ step that maps the pairs from the pivot to the other survivors, and a state,
 to the joins, the next state and a fact about the phase, so that the
 Monte-Carlo replays of one trial can share a table of the phases they have
 run, keyed by the survivors.  Every algorithm returns a ``Report``, which
-keeps those facts.  The exact optimum is a subset DP, one numpy
-min-plus subset convolution per element (cached gathers and reduces), that
-breaks ties as enumeration in RGS order would.
+keeps those facts.  The exact optimum is a subset DP over cluster weights
+doubled as arrays, one numpy min-plus subset convolution per element (cached
+gathers and reduces), that breaks ties as enumeration in RGS order would.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .instance import Instance, incident_pairs, num_pairs, pair_endpoints
 
 EXACT_MAX_N = 13
 _GATHER_BITS = 9  # min-plus convolutions over at most this many bits are one gather
+_SCAN_BITS = 6  # a near-tie node whose rest has at least this many bits scans as arrays
 
 
 def pairwise_cost(sims: np.ndarray, labels: np.ndarray) -> float:
@@ -223,8 +224,8 @@ def _subset_min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if len(a) <= 1 << _GATHER_BITS:
         t, u, starts = _splits(len(a).bit_length() - 1)
-        sums = np.take(a, t)
-        sums += np.take(b, u)  # in place: a leaf holds at most 3^9 sums (154 KiB)
+        sums = a.take(t)
+        sums += b.take(u)  # in place: a leaf holds at most 3^9 sums (154 KiB)
         return np.minimum.reduceat(sums, starts)
     h = len(a) // 2
     low = _subset_min_plus(a[:h], b[:h])
@@ -236,27 +237,30 @@ def _subset_dp(sims: np.ndarray, n: int) -> tuple[array, np.ndarray]:
     """The cluster weights w and the DP table f over all subsets of range(n).
 
     w[C] = sum over pairs in C of (1 - 2s), and f[S] = min over C ⊆ S holding
-    S's lowest element of w[C] + f[S ∖ C].  The sets whose lowest element is
-    i are solved at once, for i = n - 1, ..., 0, by one ``_subset_min_plus``
-    over the elements above i; each candidate is the same float sum a
-    scalar loop over C would form, so f equals that loop's table bit for bit.
+    S's lowest element of w[C] + f[S ∖ C].  Element i's sets get w[S ∪ {i}] =
+    w[S] + c_i[S], where c_i[S] = sum over j in S of (1 - 2s(j, i)) is
+    doubled over increasing j from 0.0: the same IEEE additions, in the same
+    order, as doubling Python lists (``tests/subset_dp_reference.py``).  One
+    matrix holds the c rows still to be used, at most 2^12 sums at n = 13.
+    The sets whose lowest element is i are solved at once, for i = n - 1,
+    ..., 0, by one ``_subset_min_plus`` over the elements above i; each
+    candidate is the same float sum a scalar loop over C would form, so f
+    equals that loop's table bit for bit.
     (No -0.0 arises to make ties order-dependent: a sum is -0.0 only if both
     terms are, and every 1 - 2s is +0.0 or nonzero.)
     """
     us, vs = pair_endpoints(n)
     a = np.zeros((n, n))
     a[us, vs] = 1.0 - 2.0 * np.asarray(sims, dtype=np.float64)
-    a = a.tolist()
-    w = [0.0]  # w[S] over the subsets S of range(i); element i doubles it
-    for i in range(n):
-        c = [0.0]  # c[S] = sum over j in S of a[j][i]
-        for j in range(i):
-            c += [x + a[j][i] for x in c]
-        w += [x + y for x, y in zip(w, c)]
-    # Flat double arrays rather than lists of float objects: a process that
-    # solves hundreds of instances then keeps about 1 MB less resident.
-    w = array("d", w)
-    weights = np.frombuffer(w)
+    weights = np.zeros(1 << n)
+    # Row r of c: c_i[S] = sum over j in S of a[j][i], i = j + r, over the
+    # subsets S of range(j); element j doubles every row and drops its own.
+    c = np.zeros((n, 1))
+    for j in range(n):
+        h = 1 << j
+        np.add(weights[:h], c[0], out=weights[h : 2 * h])
+        c = np.concatenate((c[1:], c[1:] + a[j, j + 1 :, None]), axis=1)
+    w = array("d", weights.tobytes())
     f = np.zeros(1 << n)
     for i in reversed(range(n)):
         step = 2 << i
@@ -274,12 +278,16 @@ def min_cost_partition(sims: np.ndarray, n: int) -> OptResult:
     whose DP value lies within a rounding tolerance of f[full] is then scored
     with ``pairwise_cost``, and the smallest (value, labels) wins: the first
     strict minimum in the lexicographic (RGS) order of restricted growth
-    strings.  If every partition ties, all Bell(n) are scored.
+    strings, whatever order the walk scans the candidate blocks in.  A node
+    whose rest of S has at least ``_SCAN_BITS`` elements prices all its
+    candidate blocks in one array pass; a narrower node loops over them.  If
+    every partition ties, all Bell(n) are scored.
     """
     if n > EXACT_MAX_N:
         raise InstanceTooLargeError(f"exact OPT supports n <= {EXACT_MAX_N}, got n={n}")
-    w, f = _subset_dp(sims, n)
-    f = array("d", f.tobytes())
+    w, table = _subset_dp(sims, n)
+    f = array("d", table.tobytes())
+    weights = np.frombuffer(w)
     # The DP and pairwise_cost round differently: rescore every near-tie.
     tol = 1e-9 * (1.0 + num_pairs(n) + 2.0 * float(np.abs(sims).sum()))
     labels = [0] * n
@@ -295,6 +303,18 @@ def min_cost_partition(sims: np.ndarray, n: int) -> OptResult:
             return
         low = S & -S
         rest = sub = S ^ low
+        if rest.bit_count() >= _SCAN_BITS:
+            # Every candidate block at once, in increasing order of sub.
+            subs = np.arange(rest + 1)
+            blocks = low | subs[(subs & rest) == subs]
+            extra = weights[blocks] + table[S ^ blocks] - f[S]
+            near = extra <= slack
+            for C, e in zip(blocks[near].tolist(), extra[near].tolist()):
+                for i in range(n):
+                    if C >> i & 1:
+                        labels[i] = cid
+                descend(S ^ C, slack - e, cid + 1)
+            return
         while True:
             C = low | sub
             extra = w[C] + f[S ^ C] - f[S]

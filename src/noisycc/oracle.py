@@ -342,8 +342,14 @@ class _BitTape(_Tape):
     def total(self, e: int, i: int, k: int) -> int:
         """The number of ones among rewards i, ..., i + k - 1 of pair e, k >= 1."""
         end = i + k
+        buf = self._cover(e, end)
+        tail = 8 * len(buf) - end
+        if not i and tail < 8:
+            # The whole tape but for the low bits of its last byte: the ones
+            # its draws counted, less those bits.
+            return self._ones[e] - (buf.item(-1) & (1 << tail) - 1).bit_count()
         lo, hi = i >> 3, (end + 7) >> 3
-        covering = self._cover(e, end)[lo:hi]
+        covering = buf[lo:hi]
         ones = _ones_in(covering)
         # Less the set bits of the rewards before i (high bits of the first
         # covering byte) and from end on (low bits of the last).

@@ -1,12 +1,34 @@
-"""Reference subset DP: one scalar step per (set, cluster) candidate.
+"""Reference subset DP: the cluster weights from Python lists, and one
+scalar step per (set, cluster) candidate.
 
-This is the table loop of ``noisycc.offline.min_cost_partition`` as it was
+The table loop is that of ``noisycc.offline.min_cost_partition`` as it was
 before each element's sets were solved as one min-plus subset convolution
-(``offline._subset_min_plus``).  The property tests hold ``offline._subset_dp``
-to it element for element.
+(``offline._subset_min_plus``); the weights loop is ``offline._subset_dp``'s
+as it was before the weights were doubled as arrays.  The property tests hold
+``offline._subset_dp`` to both element for element.
 """
 
 from array import array
+
+import numpy as np
+
+from noisycc.instance import pair_endpoints
+
+
+def reference_weights(sims, n: int) -> array:
+    """w[S] = sum over pairs in S of (1 - 2s), each element doubling the
+    list of the sets below it."""
+    us, vs = pair_endpoints(n)
+    a = np.zeros((n, n))
+    a[us, vs] = 1.0 - 2.0 * np.asarray(sims, dtype=np.float64)
+    a = a.tolist()
+    w = [0.0]  # w[S] over the subsets S of range(i); element i doubles it
+    for i in range(n):
+        c = [0.0]  # c[S] = sum over j in S of a[j][i]
+        for j in range(i):
+            c += [x + a[j][i] for x in c]
+        w += [x + y for x, y in zip(w, c)]
+    return array("d", w)
 
 
 def reference_subset_dp(w, n: int) -> array:

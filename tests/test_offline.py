@@ -33,7 +33,7 @@ from noisycc.offline import (
 )
 from partitions import enumerated_opt, iter_partitions
 from pivot_reference import reference_kwikcluster
-from subset_dp_reference import reference_subset_dp
+from subset_dp_reference import reference_subset_dp, reference_weights
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -394,6 +394,19 @@ class TestSubsetDp:
         sims = data.draw(st.lists(floats, min_size=num_pairs(n), max_size=num_pairs(n)))
         self.assert_same_as_enumeration(np.array(sims, dtype=np.float64), n)
 
+    # Both ways of scanning a node's candidate blocks: every node as one
+    # array pass, and every node as the scalar loop.
+    @pytest.mark.parametrize("bits", [0, 64])
+    @pytest.mark.parametrize("grid", [[0.0, 0.25, 0.5, 0.75, 1.0], [0.1, 0.3, 0.5, 0.7, 0.9]])
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 8), data=st.data())
+    def test_scan_widths(self, bits, grid, n, data):
+        values = st.sampled_from(grid)
+        sims = data.draw(st.lists(values, min_size=num_pairs(n), max_size=num_pairs(n)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(offline, "_SCAN_BITS", bits)
+            self.assert_same_as_enumeration(np.array(sims, dtype=np.float64), n)
+
     def test_all_half_n9(self):
         # Every one of the 21,147 partitions costs the same.
         self.assert_same_as_enumeration(np.full(num_pairs(9), 0.5), 9)
@@ -428,6 +441,26 @@ class TestSubsetConvolution:
         floats = st.floats(0.0, 1.0)
         sims = data.draw(st.lists(floats, min_size=num_pairs(n), max_size=num_pairs(n)))
         self.assert_same_as_loop(np.array(sims, dtype=np.float64), n)
+
+    # The weights are the list loop's floats, byte for byte (a -0.0 would show).
+    @staticmethod
+    def assert_weights_as_listed(grid, n, data):
+        values = st.floats(0.0, 1.0) if grid is None else st.sampled_from(grid)
+        sims = data.draw(st.lists(values, min_size=num_pairs(n), max_size=num_pairs(n)))
+        sims = np.array(sims, dtype=np.float64)
+        assert _subset_dp(sims, n)[0].tobytes() == reference_weights(sims, n).tobytes()
+
+    @pytest.mark.parametrize("grid", [None, [0.0, 0.25, 0.5, 0.75, 1.0]])
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 10), data=st.data())
+    def test_weights(self, grid, n, data):
+        self.assert_weights_as_listed(grid, n, data)
+
+    @pytest.mark.parametrize("grid", [None, [0.0, 0.25, 0.5, 0.75, 1.0]])
+    @settings(max_examples=4, deadline=None)
+    @given(n=st.integers(11, 13), data=st.data())
+    def test_wide_weights(self, grid, n, data):
+        self.assert_weights_as_listed(grid, n, data)
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(0, 6), data=st.data())

@@ -676,6 +676,21 @@ class TestTapeTotal:
         tape = Oracle(one_pair_instance(s), seed=seed)._tape
         assert tape.total(0, i, k) == np.unpackbits(tape._cover(0, i + k))[i : i + k].sum()
 
+    # A span from reward 0 into the tape's last byte is counted from the
+    # tape's ones count; tapes of k <= _ROW_CAP rewards come from
+    # draw_first's blocks, longer ones from _cover.
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("k", [100, _ROW_CAP, _ROW_CAP + 1, 3 * _PIECE + 5])
+    def test_spans_into_the_last_bytes(self, s, k):
+        m = num_pairs(4)
+        tape = Oracle(Instance(4, [s] * m), seed=k)._tape
+        tape.draw_first(range(m), k)
+        for e in range(m):
+            length = 8 * len(tape._cover(e, k))
+            for end in range(length - 15, length + 1):
+                assert tape.total(e, 0, end) == int(tape.rewards(e, 0, end).sum()), (e, end)
+            assert 8 * len(tape._streams[e]) == length
+
 
 class TestEmpiricalMean:
     """A pair's empirical mean, the mean of its rewards pulled so far, is the
