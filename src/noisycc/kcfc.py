@@ -54,7 +54,9 @@ def run_kcfc(
     out = run_tbhs(oracle, range(m), TbhsConfig(eps_prime, delta, radius_scale))
     good = pair_mask(out.good, m).astype(np.float64)
     labels = kwikcluster(good, n, rng)
-    return Report(labels, out.pulls_used, good_set_size=len(out.good), estimates=good)
+    return Report(
+        labels, out.pulls_used, good_set_size=len(out.good), estimates=good, bandit=out
+    )
 
 
 def run_kcfc_sequential(

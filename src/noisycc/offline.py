@@ -23,11 +23,15 @@ from array import array
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InstanceTooLargeError, InvalidClusteringError, ParameterError
 from .instance import Instance, incident_pairs, num_pairs, pair_endpoints
+
+if TYPE_CHECKING:
+    from .tbhs import TbhsOutput
 
 EXACT_MAX_N = 13
 _GATHER_BITS = 9  # min-plus convolutions over at most this many bits are one gather
@@ -69,7 +73,9 @@ class Report:
     similarity vector the offline stage clustered, which MC replays cluster
     again: ``kcfc``'s 0/1 good set or a uniform baseline's means, one per
     pair (empty at n = 1).  It is None where each phase decides for itself
-    (``kcfb``, ``kcfc-seq``).
+    (``kcfb``, ``kcfc-seq``).  ``bandit`` is the output of ``kcfc``'s one
+    bandit call, with its good and bad sets, pulls and rounds (None at
+    n = 1 and for the other algorithms).
     """
 
     clustering: np.ndarray
@@ -78,6 +84,7 @@ class Report:
     good_set_size: int | None = None
     budget: int | None = None
     estimates: np.ndarray | None = None
+    bandit: TbhsOutput | None = None
 
     @property
     def phases(self) -> int:

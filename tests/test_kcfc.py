@@ -5,15 +5,18 @@ import noisycc.kcfc
 from noisycc import (
     GeneratorSpec,
     Instance,
+    NoiseModel,
     OfflineSolver,
     Oracle,
     ParameterError,
     Report,
+    TbhsConfig,
     generate,
     num_pairs,
     run_kcfb,
     run_kcfc,
     run_kcfc_sequential,
+    run_tbhs,
     run_uniform_fb,
     run_uniform_fc,
 )
@@ -94,6 +97,22 @@ class TestKcfc:
         assert config.delta == 0.2
         assert report.good_set_size == int(report.estimates.sum())
         assert report.facts == []
+
+    @pytest.mark.parametrize("noise,scale", [(None, 1.0), (NoiseModel("gaussian", 0.3), 0.3)],
+                             ids=["bernoulli", "gaussian"])
+    def test_report_keeps_the_bandit_output(self, noise, scale):
+        inst = generate(GeneratorSpec("planted", n=9, k=3, flip_noise=0.1, seed=5))
+        m = inst.m
+        oracle = Oracle(inst, noise, seed=2)
+        report = run_kcfc(oracle, 1.0, 0.1, np.random.default_rng(0), radius_scale=scale)
+        assert report.bandit.pulls_used == report.queries_used == oracle.total_pulls
+        assert report.bandit.rounds > 0
+        assert len(report.bandit.good) == report.good_set_size
+        direct = run_tbhs(oracle.replay(), range(m), TbhsConfig(1.0 / (12 * m), 0.1, scale))
+        assert report.bandit == direct
+
+    def test_report_keeps_no_bandit_at_n1(self):
+        assert run_kcfc(Oracle(Instance(1, []), seed=0), 0.5, 0.1).bandit is None
 
     def test_bandit_draws_each_pair_once(self, monkeypatch):
         # n = 64, m = 2016: the tape keeps the table of running means.  Its

@@ -435,6 +435,65 @@ class TestRunLength:
         assert folded_at and min(folded_at) >= 511
 
 
+@st.composite
+def long_run_cases(draw):
+    """Bandits whose lone arms read 100 to 250 rounds of their columns in a
+    run: slack at most 0.01 and similarities at least 0.15 from 0.5, a few
+    values shared by many arms, so that another arm's bound may overtake a
+    lone arm's, and budgets that may stop a run inside its column."""
+    n = draw(st.integers(2, 5))
+    m = num_pairs(n)
+    values = draw(st.lists(st.floats(0.2, 0.35) | st.floats(0.65, 0.8), min_size=1, max_size=3))
+    sims = draw(st.lists(st.sampled_from(values), min_size=m, max_size=m))
+    gaussian = draw(st.booleans())
+    noise = NoiseModel("gaussian", 0.3) if gaussian else None
+    scale = draw(st.sampled_from([0.5, 1.0])) if gaussian else 1.0
+    epsilon = draw(st.floats(0.001, 0.01))
+    config = TbhsConfig(epsilon, draw(st.sampled_from([0.01, 0.1, 0.5])), scale)
+    arms = draw(st.one_of(
+        st.just(range(m)),
+        st.lists(st.integers(0, m - 1), min_size=1, max_size=m),
+    ))
+    budget = draw(st.none() | st.integers(0, 3000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return Instance(n, sims), noise, seed, budget, arms, config
+
+
+class TestLongTableRunsMatchRoundAtATime:
+    """Long lone-arm runs inside the table, whose stop is searched in one
+    numpy pass (``tbhs._stop_in``), against ``tests/tbhs_reference.py``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(long_run_cases())
+    def test_random_cases(self, case):
+        assert tbhs_outcome(run_tbhs, *case) == tbhs_outcome(reference_tbhs, *case)
+
+    def test_the_array_search_meets_every_stop(self, monkeypatch):
+        # A lone run stops where its arm is classified, where another arm's
+        # LCB or UCB overtakes it, or at the end of its read: the column's
+        # end or the budget's.
+        stops = set()
+        stop_in = tbhs._stop_in
+
+        def recorded(means, radii, lo_g, hi_b, good_at, bad_at):
+            done, mg, lg, ug = stop_in(means, radii, lo_g, hi_b, good_at, bad_at)
+            assert len(means) > tbhs._HEAD
+            stops.add("good" if lg >= good_at else "bad" if ug <= bad_at
+                      else "lo_g" if lg < lo_g else "hi_b" if ug > hi_b else "end")
+            return done, mg, lg, ug
+
+        monkeypatch.setattr(tbhs, "_stop_in", recorded)
+        for sims in ([0.7, 0.3, 0.7, 0.3, 0.8, 0.2], [0.65, 0.35, 0.66, 0.34, 0.65, 0.35],
+                     [0.3] * 6):
+            for noise, scale in ((None, 1.0), (NoiseModel("gaussian", 0.3), 0.5)):
+                for budget in (None, 400):
+                    for seed in range(5):
+                        case = (Instance(4, sims), noise, seed, budget, range(6),
+                                TbhsConfig(0.01, 0.1, scale))
+                        assert tbhs_outcome(run_tbhs, *case) == tbhs_outcome(reference_tbhs, *case)
+        assert stops == {"good", "bad", "lo_g", "hi_b", "end"}
+
+
 class TestPinnedOutputs:
     """Pinned (pulls_used, rounds, good) of ``run_tbhs``: any change to arm
     selection, tie-breaking or the reward stream changes them."""
