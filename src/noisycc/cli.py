@@ -114,6 +114,8 @@ def _mc_expected_cost(
 
 def _bound_ref(algo: str, instance: Instance, args, solver: OfflineSolver) -> float | None:
     m = instance.m
+    if not m:  # no pairs, no bound: kcfc's slack and uniform-fb's pulls divide by m
+        return None
     try:
         if algo == "kcfc":
             return analysis.fc_sample_bound(instance, args.epsilon / (12.0 * m), args.delta)
@@ -123,7 +125,7 @@ def _bound_ref(algo: str, instance: Instance, args, solver: OfflineSolver) -> fl
             return float(m * uniform_fc_pulls(solver.alpha, m, args.epsilon, args.delta))
         if algo == "uniform-fb":
             return uniform_fb_error_bound(solver.alpha, m, args.budget // m, args.epsilon)
-    except (NoisyccError, ZeroDivisionError):
+    except NoisyccError:
         return None
     return None
 

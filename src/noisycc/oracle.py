@@ -58,8 +58,8 @@ from .instance import Instance
 class NoiseModel:
     """Reward distribution: kind 'bernoulli' (default) or 'gaussian'.
 
-    For 'gaussian', ``sigma`` is both the noise standard deviation and the
-    sub-Gaussian scale the confidence radius must be adjusted for.
+    For 'gaussian', ``sigma`` is the noise standard deviation and sub-Gaussian
+    scale, in (0, ``_MAX_SIGMA``] so that no sum of rewards can overflow.
     """
 
     kind: str = "bernoulli"
@@ -68,8 +68,10 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in ("bernoulli", "gaussian"):
             raise ParameterError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "gaussian" and not 0 < self.sigma < math.inf:
-            raise ParameterError(f"gaussian noise requires a finite sigma > 0, got {self.sigma}")
+        if self.kind == "gaussian" and not 0 < self.sigma <= _MAX_SIGMA:
+            raise ParameterError(
+                f"gaussian noise requires a finite sigma in (0, {_MAX_SIGMA:g}], got {self.sigma}"
+            )
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx).
@@ -177,6 +179,11 @@ _ROW_CAP = 1 << 10
 _PHASE_FLOATS = 1 << 12
 # A pair's pull count must fit the oracle's int64 counters.
 _MAX_PULLS = (1 << 63) - 1
+# numpy's (>= 1.24) ``standard_normal`` is a ziggurat (Marsaglia and Tsang 2000)
+# whose tail returns r + (-ln(1 - U)) / r, r = 3.6541528853610088, U < 1 of 53
+# bits: |z| < r + 53 ln 2 / r < 14.  So a reward is at most 1 + 14 sigma, and
+# 2**63 terms of 3 + 28 sigma (a tape's or offline sum, 1 - 2 s) stay < 1e121.
+_MAX_SIGMA = 1e100
 # Below this k, a mean of k Bernoulli rewards exceeds 0.5 exactly when
 # ``2 * ones > k``: (2 * ones - k) / (2 * k) is then more than half an ulp of
 # 0.5, so ``ones / k`` cannot round down to 0.5.
@@ -446,18 +453,8 @@ class _FloatTape(_Tape):
             return buf
         rng = self._rngs.get(e) or self._generator(e)
         fresh = rng.standard_normal(max(end - have, have, _FIRST_DRAW))
-        with np.errstate(over="ignore"):
-            fresh *= self.sigma
-            fresh += self.sims[e]
-        if not np.isfinite(fresh).all():
-            # The generator has moved past the tape's end: forget both,
-            # so that the pair's next read draws its stream from reward 0.
-            self._rngs.pop(e, None)
-            self._streams.pop(e, None)
-            raise ParameterError(
-                f"gaussian noise with sigma={self.sigma} drew a"
-                f" non-finite reward for pair {e}"
-            )
+        fresh *= self.sigma
+        fresh += self.sims[e]
         self._rngs[e] = rng
         buf = fresh if buf is None else np.concatenate((buf, fresh))
         self._streams[e] = buf

@@ -227,8 +227,8 @@ def run_tbhs(oracle: Oracle, arms, config: TbhsConfig) -> TbhsOutput:
     would never end raise ParameterError: a run that ends with an arm's UCB
     infinite (a ``delta`` so small that the radius overflows), and, before
     any pull, Bernoulli rewards under a radius that stays above
-    ``0.5 + epsilon`` for 2**63 pulls (a huge ``radius_scale``).  Gaussian
-    means are unbounded, so the second check does not apply to them.
+    ``0.5 + epsilon`` for 2**63 pulls (a huge ``radius_scale``).  The
+    second check assumes means in [0, 1], as Bernoulli means are.
 
     Rounds with an unchanged (e_g, e_b) are evaluated as one run, as the
     module docstring describes; the output, the rounds and every oracle

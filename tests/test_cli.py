@@ -152,6 +152,20 @@ class TestRun:
         _, rows = parse_csv(out.read_text())
         assert rows[0]["queries"] == "0" and float(rows[0]["mc_expected_cost"]) == 0.0
 
+    @pytest.mark.parametrize("algo", [
+        ["kcfc", "--delta", "0.1"], ["kcfc-seq", "--delta", "0.1"], ["kcfb", "--budget", "10"],
+        ["uniform-fc", "--delta", "0.1"], ["uniform-fb", "--budget", "10"],
+    ])
+    def test_no_pairs_no_bound(self, algo, tmp_path):
+        # n = 1 has no pair, so no bound: every row leaves bound_ref empty.
+        path = tmp_path / "one.json"
+        save_instance(Instance(1, []), path)
+        out = tmp_path / "u.csv"
+        assert run_main(["run", "--algo", *algo, "--instance", str(path), "--epsilon", "1.0",
+                         "--trials", "2", "--mc-replays", "5", "--out", str(out)]) == 0
+        _, rows = parse_csv(out.read_text())
+        assert [row["bound_ref"] for row in rows] == ["", ""]
+
     def test_stdout_when_no_out(self, noiseless_instance, capsys):
         run_main(["run", "--algo", "kcfc", "--instance", str(noiseless_instance),
                   "--epsilon", "1.0", "--delta", "0.1", "--mc-replays", "10"])
@@ -425,11 +439,11 @@ class TestBadRunInputs:
         ("kcfb", ["--budget", "60", "--noise", "gaussian", "--sigma", "inf"], "finite sigma"),
         ("uniform-fb", ["--budget", "60", "--noise", "gaussian", "--sigma", "inf"],
          "finite sigma"),
-        # Finite, but sigma * N(0, 1) overflows to an infinite reward.
+        # Finite, but above the largest sigma: refused before any trial.
         ("kcfc", ["--delta", "0.1", "--noise", "gaussian", "--sigma", "1e308"],
-         "trial 0 (kcfc): gaussian noise with sigma=1e+308 drew a non-finite reward"),
+         "gaussian noise requires a finite sigma in (0, 1e+100], got 1e+308"),
         ("kcfb", ["--budget", "60", "--noise", "gaussian", "--sigma", "1e308"],
-         "trial 0 (kcfb): gaussian noise with sigma=1e+308 drew a non-finite reward"),
+         "gaussian noise requires a finite sigma in (0, 1e+100], got 1e+308"),
     ])
     def test_non_finite_noise_or_radius(
         self, algo, flags, words, noiseless_instance, tmp_path, capsys
@@ -439,6 +453,22 @@ class TestBadRunInputs:
             ["run", "--algo", algo, "--instance", str(noiseless_instance),
              "--epsilon", "1.0", *flags, "--mc-replays", "5", "--out", str(out)], capsys)
         assert line.startswith("noisycc: error:") and words in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("solver", ["exact", "kwik_restarts"])
+    def test_sigma_whose_sums_overflow(self, solver, tmp_path, capsys):
+        # sigma = 1e307 draws finite rewards, but their sums in exact OPT and
+        # the cost overflow: it is refused before any trial, with no warning.
+        inst, out = tmp_path / "n13.json", tmp_path / "res.csv"
+        assert run_main(["gen", "--kind", "planted", "--n", "13", "--k", "3", "--q", "0.1",
+                         "--seed", "5", "--out", str(inst)]) == 0
+        line = self.usage_error(
+            ["run", "--algo", "uniform-fb", "--noise", "gaussian", "--sigma", "1e307",
+             "--budget", "78", "--epsilon", "1", "--trials", "1", "--seed", "1",
+             "--solver", solver, "--instance", str(inst), "--out", str(out)], capsys)
+        assert line == (
+            "noisycc: error: gaussian noise requires a finite sigma in (0, 1e+100], got 1e+307"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1", "0"])

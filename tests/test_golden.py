@@ -1,44 +1,10 @@
 """Golden CSV output: fixed command lines must keep producing the same bytes.
 
-The digests were recorded before the per-algorithm pivot loops were merged
-into one engine, the n = 10 ones before the exact optimum moved from
-set-partition enumeration to a subset DP, and the two at 500 replays before
-replayed pivot phases were memoised, and the two Gaussian bandit cases
-(``*-gauss-n6``, the first that ran the threshold bandit on a float tape;
-``kcfc-gauss-n64`` and ``kcfc-seq-gauss-n70`` below do too) before the
-bandit read its running means from the tape's table, and
-the two Bernoulli ones at n = 70 (m = 2,415, a tape too large for the table, so
-every running mean is folded from the tape's individual rewards) before
-those rewards were read as float64 arrays in place of lists of floats, and
-``kcfc-n64`` (planted n = 64, m = 2,016, the largest tape that keeps the
-table) before the table's rewards were drawn a block of pairs at a time and the
-bandit's first pulls read from its row 0, and ``kcfc-gauss-n64`` (a Gaussian
-table of 16 fill blocks on the same instance) before the table's Gaussian
-rewards were drawn pair by pair in place of blocks of pairs, and
-``kcfb-pieces-u8`` (similarities within 0.001 of 0.5, so that its votes
-depend on the rewards, read from tapes of more than 65,536 rewards, which
-grow in pieces and are counted unpacked) before a tape's growth was joined
-to it in one concatenate, and ``kcfc-seq-gauss-n70`` (the n = 70 instance on
-Gaussian rewards: the one command line on which a float tape keeps no table,
-so every running mean is folded from float rewards) before one tape class
-with a branch per reward kind was split into a bit tape and a float tape,
-and ``uniform-fb-exact-n13`` and ``kcfb-n13`` (the first whose exact
-optimum splits the DP's top bits) before the DP's min-plus convolutions
-became gathers through cached split indices, and ``kcfc-n30`` and
-``kcfc-seq-n30`` (the benchmark's ``bandit-mid`` shape, planted n = 30 at
-100 and 10 replays, many of whose bandit runs went on for 128 rounds, the
-most one read then held) before a bandit run read on as far as the tape's
-table holds its arms' means, and ``kcfc-seq-gauss-n30`` (the same instance
-on Gaussian rewards, whose bandit reads a float tape's table) before a run
-read its arms' columns of the table and the radius memo as strided views,
-and ``kcfc-near-n10`` and ``kcfc-seq-near-n10`` (similarities 0.56 and
-0.44, near the threshold, so that many bandit runs read past the table's
-512 means, some of them from a column that held fewer than 128) before a
-run read only as far as its columns hold and folded the rest off the tape
-in a run of its own;
-any change to RNG consumption,
-pivot order, query order, the exact optimum's tie-break or number formatting
-shows up here.
+Each digest was recorded before a change to the code its case runs, and no
+digest is edited: any change to RNG consumption, pivot order, query order,
+the exact optimum's tie-break or number formatting shows up here.  A
+comment above each group of cases says what it covers; CHANGES.md tells
+which change each digest was recorded before.
 """
 
 import hashlib
@@ -80,6 +46,7 @@ FC = ["--epsilon", "1.0", "--delta", "0.1"]
 GAUSS = ["--noise", "gaussian", "--sigma", "0.3"]
 
 CASES = {
+    # Each algorithm's pivot loop on a small instance; kcfb on a float tape.
     "kcfc-n6": ("n6", ["--algo", "kcfc", *FC, "--trials", "3", "--mc-replays", "20",
                        "--seed", "1"]),
     "kcfc-seq-n6": ("n6", ["--algo", "kcfc-seq", *FC, "--trials", "3",
@@ -92,12 +59,14 @@ CASES = {
     "uniform-fb-n6": ("n6", ["--algo", "uniform-fb", "--epsilon", "1.0", "--budget", "150",
                              "--trials", "3", "--mc-replays", "20", "--seed", "4",
                              "--solver", "kwik_restarts", "--restarts", "5"]),
+    # The kwik_restarts solver, whose restarts are pivot loops too.
     "kcfc-seq-n15": ("n15", ["--algo", "kcfc-seq", *FC, "--trials", "2",
                              "--mc-replays", "10", "--seed", "5",
                              "--solver", "kwik_restarts"]),
     "kcfb-n15": ("n15", ["--algo", "kcfb", "--epsilon", "1.0", "--budget", "2100",
                          "--trials", "3", "--mc-replays", "20", "--seed", "6",
                          "--solver", "kwik_restarts"]),
+    # Exact OPT's subset DP; four partitions tie, and so do uniform-fb's estimates.
     "uniform-fb-exact-n10": ("n10", ["--algo", "uniform-fb", "--epsilon", "1.0",
                                      "--budget", "90", "--trials", "3", "--mc-replays", "20",
                                      "--seed", "7", "--solver", "exact"]),
@@ -107,30 +76,40 @@ CASES = {
     "kcfb-n10-r500": ("n10", ["--algo", "kcfb", "--epsilon", "1.0", "--budget", "4500",
                               "--trials", "3", "--seed", "9"]),
     "kcfc-seq-n10-r500": ("n10", ["--algo", "kcfc-seq", *FC, "--trials", "2", "--seed", "10"]),
+    # The threshold bandit on a float tape.
     "kcfc-gauss-n6": ("n6", ["--algo", "kcfc", *FC, *GAUSS, "--trials", "3",
                              "--mc-replays", "20", "--seed", "11"]),
     "kcfc-seq-gauss-n6": ("n6", ["--algo", "kcfc-seq", *FC, *GAUSS, "--trials", "3",
                                  "--mc-replays", "20", "--seed", "12"]),
+    # m = 2,415, too many pairs for the table: every running mean is folded
+    # from the tape's rewards.
     "kcfc-n70": ("n70", ["--algo", "kcfc", *FC, "--trials", "2", "--mc-replays", "10",
                          "--seed", "14", "--solver", "kwik_restarts"]),
     "kcfc-seq-n70": ("n70", ["--algo", "kcfc-seq", *FC, "--trials", "2",
                              "--mc-replays", "10", "--seed", "15",
                              "--solver", "kwik_restarts"]),
+    # m = 2,016, the largest tape that keeps the table, of bits and of floats.
     "kcfc-n64": ("n64", ["--algo", "kcfc", *FC, "--trials", "2", "--mc-replays", "10",
                          "--seed", "17", "--solver", "kwik_restarts"]),
     "kcfc-gauss-n64": ("n64", ["--algo", "kcfc", *FC, *GAUSS, "--trials", "2",
                                "--mc-replays", "10", "--seed", "18",
                                "--solver", "kwik_restarts"]),
+    # A float tape that keeps no table: every mean is folded from float rewards.
     "kcfc-seq-gauss-n70": ("n70", ["--algo", "kcfc-seq", *FC, *GAUSS, "--trials", "2",
                                    "--mc-replays", "10", "--seed", "20",
                                    "--solver", "kwik_restarts"]),
+    # Similarities within 0.001 of 0.5: votes read tapes of more than 65,536
+    # rewards, which grow in pieces and are counted unpacked.
     "kcfb-pieces-u8": ("u8", ["--algo", "kcfb", "--epsilon", "1.0", "--budget", "5600000",
                               "--trials", "3", "--mc-replays", "20", "--seed", "19"]),
+    # The largest instance exact OPT solves, whose DP splits its top bits.
     "uniform-fb-exact-n13": ("n13", ["--algo", "uniform-fb", "--epsilon", "1.0",
                                      "--budget", "156", "--trials", "3", "--mc-replays", "20",
                                      "--seed", "21", "--solver", "exact"]),
     "kcfb-n13": ("n13", ["--algo", "kcfb", "--epsilon", "1.0", "--budget", "7800",
                          "--trials", "3", "--mc-replays", "20", "--seed", "22"]),
+    # The benchmark's bandit-mid shape, whose bandit runs read the table, on
+    # bits and on floats.
     "kcfc-n30": ("n30", ["--algo", "kcfc", *FC, "--trials", "2", "--mc-replays", "100",
                          "--seed", "24", "--solver", "kwik_restarts"]),
     "kcfc-seq-n30": ("n30", ["--algo", "kcfc-seq", *FC, "--trials", "2",
@@ -139,10 +118,29 @@ CASES = {
     "kcfc-seq-gauss-n30": ("n30", ["--algo", "kcfc-seq", *FC, *GAUSS, "--trials", "2",
                                    "--mc-replays", "10", "--seed", "26",
                                    "--solver", "kwik_restarts"]),
+    # Near the threshold: bandit runs read past the table and fold the rest.
     "kcfc-near-n10": ("near10", ["--algo", "kcfc", *FC, "--trials", "2",
                                  "--mc-replays", "50", "--seed", "5"]),
     "kcfc-seq-near-n10": ("near10", ["--algo", "kcfc-seq", *FC, "--trials", "2",
                                      "--mc-replays", "50", "--seed", "5"]),
+    # A uniform baseline's float sums, divided by the pull count, solved by
+    # kwik_restarts (20 replays: the 500 of the default take seconds).
+    "uniform-fb-gauss-n10": ("n10", ["--algo", "uniform-fb", "--epsilon", "1.0",
+                                     "--budget", "4500", *GAUSS, "--trials", "3",
+                                     "--mc-replays", "20", "--seed", "1",
+                                     "--solver", "kwik_restarts"]),
+    # The bandit's and kcfb's reads of a float tape at the default 500 replays.
+    "kcfc-gauss-n10": ("n10", ["--algo", "kcfc", *FC, *GAUSS, "--trials", "3", "--seed", "1"]),
+    "kcfc-seq-gauss-n10": ("n10", ["--algo", "kcfc-seq", *FC, *GAUSS, "--trials", "3",
+                                   "--seed", "1"]),
+    "kcfb-gauss-n10": ("n10", ["--algo", "kcfb", "--epsilon", "1.0", "--budget", "4500",
+                               *GAUSS, "--trials", "3", "--seed", "1"]),
+    # The largest sigma accepted, through exact OPT's sums.
+    "uniform-fb-exact-max-sigma-n13": ("n13", ["--algo", "uniform-fb", "--epsilon", "1.0",
+                                               "--budget", "156", "--noise", "gaussian",
+                                               "--sigma", "1e100", "--trials", "3",
+                                               "--mc-replays", "20", "--seed", "1",
+                                               "--solver", "exact"]),
 }
 
 EXPECTED_SHA256 = {
@@ -172,6 +170,12 @@ EXPECTED_SHA256 = {
     "uniform-fb-exact-n13": "8a7c011c020be2700fca199b94f6f4167796b9110a15f30eae07419285d88109",
     "uniform-fb-n6": "09ca06130abb47343e08d6968f87973c82252b980a128721568174cc162182fe",
     "uniform-fc-n6": "75cec1d326784ffac32ce6c5b731e18c3296910f67e4e45ab0c045bce211953e",
+    "uniform-fb-gauss-n10": "7c3fdc0f93bfad01003178e8f33c74bce4465e62926935dab73fa3fe19d6dee7",
+    "kcfc-gauss-n10": "a82863e25c5b9c7ad0a9eee50652839374d08f0eafb21ffb6b23046d5840d50f",
+    "kcfc-seq-gauss-n10": "0d0a541ba78480ee1e7709046d25aa414bfaf2674a415af3f6511c3a89f4f42c",
+    "kcfb-gauss-n10": "cfd5306206f68acfb7c37ac706e60db7e6871669ea6df0b11bc98a5c07d62e2d",
+    "uniform-fb-exact-max-sigma-n13":
+        "e47afbdd6f6ca6ec252178b1c47e78a12d3dcef619fba45e31dc1a8e7c890230",
 }
 
 

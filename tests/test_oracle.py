@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from noisycc import (
 )
 from noisycc.cli import main
 from noisycc.oracle import (
+    _MAX_SIGMA,
     _PHASE_FLOATS,
     _PIECE,
     _ROW_CAP,
@@ -89,26 +91,22 @@ class TestGaussianRewards:
             NoiseModel("gaussian", sigma=sigma)
 
     def test_overflowing_reward_rejected(self):
-        # sigma is finite, but sigma * N(0, 1) overflows for |N| > 1.8.
-        o = Oracle(one_pair_instance(0.5), NoiseModel("gaussian", sigma=1e308), seed=0)
-        with pytest.raises(ParameterError, match="non-finite reward for pair 0"):
-            o.pull_many(0, 64)
-        assert o.total_pulls == 0
+        # sigma is finite, but sigma * N(0, 1) overflows for |N| > 1.8: it is
+        # refused before any oracle is built.
+        with pytest.raises(ParameterError, match=r"finite sigma in \(0, 1e\+100\]"):
+            NoiseModel("gaussian", sigma=1e308)
 
-    def test_non_finite_growth_keeps_the_stream(self):
-        # sigma * N(0, 1) overflows for |N| > 3.6: a growth of 10**5 draws
-        # meets such a draw, the first 128 draws do not.  A growth that
-        # raises must leave the pair's next reads where they were.
-        sigma = 5e307
-        o = Oracle(one_pair_instance(0.5), NoiseModel("gaussian", sigma=sigma), seed=0)
-        expected = 0.5 + sigma * reference_stream(0, 0).standard_normal(70)
-        with pytest.raises(ParameterError, match="non-finite reward for pair 0"):
-            o.pull_many(0, 100_000)
-        assert np.array_equal(o.pull_many(0, 5), expected[:5])
-        with pytest.raises(ParameterError, match="non-finite reward for pair 0"):
-            o.pull_many(0, 100_000)
-        assert np.array_equal(o.pull_many(0, 65), expected[5:])
-        assert o.total_pulls == 70
+    def test_largest_sigma(self):
+        NoiseModel("gaussian", sigma=_MAX_SIGMA)
+        with pytest.raises(ParameterError, match="finite sigma"):
+            NoiseModel("gaussian", sigma=math.nextafter(_MAX_SIGMA, math.inf))
+
+    def test_largest_sigma_keeps_sums_finite(self):
+        # The arithmetic of _MAX_SIGMA's comment: the ziggurat's tail bound
+        # on |N(0, 1)|, and 2**63 terms of at most 3 + 2 * z_max * sigma.
+        r, z_max = 3.6541528853610088, 14.0
+        assert r + 53 * math.log(2) / r < z_max
+        assert 2.0**63 * (3 + 2 * z_max * _MAX_SIGMA) < sys.float_info.max
 
 
 class TestStreams:
@@ -714,12 +712,10 @@ class TestEmpiricalMean:
             assert pulled_mean(o, e) == fresh.pull_many(e, counts[e]).mean()
 
     def test_advance_does_not_read_the_tape(self):
-        # sigma * N(0, 1) overflows for most draws, so any read of the pair raises.
-        o = Oracle(one_pair_instance(0.5), NoiseModel("gaussian", sigma=1e308), seed=0)
+        o = Oracle(one_pair_instance(0.5), NoiseModel("gaussian", sigma=0.3), seed=0)
         o.advance(0, 64)
         assert o.pulls_report()[1].tolist() == [64]
-        with pytest.raises(ParameterError, match="non-finite reward for pair 0"):
-            pulled_mean(o, 0)
+        assert not o._tape._streams
 
 
 def scalar_fold(rewards, k=0, mu=0.0):
@@ -827,13 +823,12 @@ class TestRunningMeans:
 
     def test_table_draws_the_first_rewards_of_every_pair(self):
         # On a tape that keeps the table, a bandit's first table read draws
-        # the first 512 rewards of every pair, so a non-finite Gaussian
-        # reward among them raises there, even in a pair it never reads.
-        noise = NoiseModel("gaussian", sigma=5e307)
-        inst = Instance(5, STREAM_SIMS)
-        assert np.isfinite(Oracle(inst, noise, seed=0).pull_many(0, 64)).all()
-        with pytest.raises(ParameterError, match="non-finite reward for pair 9"):
-            Oracle(inst, noise, seed=0).table_column(0, 0)
+        # the first 512 rewards of every pair, even of pairs it never reads.
+        o = Oracle(Instance(5, STREAM_SIMS), NoiseModel("gaussian", sigma=0.3), seed=0)
+        o.table_column(0, 0)
+        streams = o._tape._streams
+        assert sorted(streams) == list(range(10))
+        assert all(len(buf) >= 512 for buf in streams.values())
 
     def test_invalid_pair(self):
         with pytest.raises(InvalidPairError):
@@ -1051,11 +1046,16 @@ class TestPullEach:
         tape = o._tape
         assert o.total_pulls == 0 and not tape._streams and tape._means is None
 
-    def test_table_draw_error_pulls_nothing(self):
-        # The table draws every pair's first 512 rewards, so a non-finite
-        # Gaussian reward of pair 9 raises there, before any arm is counted.
-        o = Oracle(Instance(5, STREAM_SIMS), NoiseModel("gaussian", sigma=5e307), seed=0)
-        with pytest.raises(ParameterError, match="non-finite reward for pair 9"):
+    def test_table_draw_error_pulls_nothing(self, monkeypatch):
+        # An error in the table's build, here as it reads the columns of
+        # every pair's first 512 rewards, raises before any arm is counted.
+        o = Oracle(Instance(5, STREAM_SIMS), NoiseModel("gaussian", sigma=0.3), seed=0)
+
+        def failing_columns(lo, hi):
+            raise MemoryError(f"columns of pairs {lo} to {hi - 1}")
+
+        monkeypatch.setattr(o._tape, "_columns", failing_columns)
+        with pytest.raises(MemoryError, match="columns of pairs 0 to 9"):
             o.pull_each([0, 1])
         assert o.total_pulls == 0 and o._tape._means is None
 
